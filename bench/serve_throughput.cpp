@@ -220,13 +220,10 @@ BENCHMARK(bm_serve_executor_async)->Arg(8)->Arg(64);
 
 void bm_serve_multibase(benchmark::State& state) {
   // K point queries spread round-robin over G=4 bases. Arg1 selects the
-  // dispatch: 0 = ONE cross-base block-diagonal launch on the stack a
-  // long-lived server caches at startup (run_batch_on_stack — the
-  // executor's steady-state path; stacking the bases is a one-time cost
-  // outside the measurement), 1 = one coalesced batch per base
-  // (G launches), 2 = per-query dispatch (K launches). The 0-vs-1 gap is
-  // what stacking the bases themselves buys once per-launch costs
-  // dominate.
+  // dispatch: 0 = run_batch_multi, one coalesced launch per base (G
+  // launches over pointer spans — the executor's flush path), 1 =
+  // per-query dispatch (K launches). The gap is what per-base coalescing
+  // buys once per-launch costs dominate.
   const int k = static_cast<int>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
   const Index n = 2048;
@@ -238,48 +235,35 @@ void bm_serve_multibase(benchmark::State& state) {
   }
   std::vector<const sparse::Matrix<double>*> bptrs;
   for (const auto& b : bases) bptrs.push_back(&b);
-  const auto stack = sparse::stack_bases<double>(bptrs);
   const auto qs = make_queries(0, k, n, 5);
   std::vector<std::size_t> ids(qs.size());
   for (std::size_t i = 0; i < qs.size(); ++i) ids[i] = i % kBases;
   serve::ServeStats stats;
   for (auto _ : state) {
     if (mode == 0) {
-      benchmark::DoNotOptimize(serve::run_batch_on_stack<S>(
-          stack, qs, ids, sparse::MxmStrategy::kAuto, &stats));
-    } else if (mode == 1) {
-      for (std::size_t g = 0; g < kBases; ++g) {
-        std::vector<serve::Query<S>> group;
-        for (std::size_t i = g; i < qs.size(); i += kBases) {
-          group.push_back(qs[i]);
-        }
-        benchmark::DoNotOptimize(serve::run_batch(
-            bases[g], group, sparse::MxmStrategy::kAuto, &stats));
-      }
+      benchmark::DoNotOptimize(serve::run_batch_multi<S>(
+          bptrs, qs, ids, sparse::MxmStrategy::kAuto, &stats));
     } else {
       for (std::size_t i = 0; i < qs.size(); ++i) {
         benchmark::DoNotOptimize(serve::run_single(bases[ids[i]], qs[i]));
       }
     }
   }
-  if (mode == 0 && stats.batches > 0) {
-    state.counters["launches_saved_per_flush"] = static_cast<double>(
-        stats.launches_saved / stats.batches);
+  if (mode == 0 && state.iterations() > 0) {
+    state.counters["launches_saved_per_flush"] =
+        static_cast<double>(stats.launches_saved) /
+        static_cast<double>(state.iterations());
   }
   state.counters["queries_per_s"] = benchmark::Counter(
       static_cast<double>(k), benchmark::Counter::kIsIterationInvariantRate);
-  state.SetLabel(std::string(mode == 0   ? "cross-base batched"
-                             : mode == 1 ? "per-base batched"
-                                         : "per-query") +
+  state.SetLabel(std::string(mode == 0 ? "per-base batched" : "per-query") +
                  ", K=" + std::to_string(k) + ", G=4 bases");
 }
 BENCHMARK(bm_serve_multibase)
     ->Args({8, 0})
     ->Args({8, 1})
-    ->Args({8, 2})
     ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({64, 2});
+    ->Args({64, 1});
 
 void bm_serve_sharded(benchmark::State& state) {
   // Sharded vs unsharded serving: K queries through a Router over N
@@ -330,7 +314,7 @@ void bm_serve_mixed_rw(benchmark::State& state) {
   // ticket. Arg0 = K (query rate per tick), Arg1 = M (mutation rate per
   // tick), Arg2 = shard count (1 = plain executor path). The M=0 rows are
   // the read-only baseline; the grid shows what live writes cost the read
-  // path (delta-overlay probes + stale-stack fallbacks) at each rate.
+  // path (delta-overlay probes) at each rate.
   const int k = static_cast<int>(state.range(0));
   const int muts = static_cast<int>(state.range(1));
   const int shards = static_cast<int>(state.range(2));

@@ -39,6 +39,65 @@ bool batchable(const AssocArray<S>& base, const BatchQuery<S>& q) {
   return key_union(q.lhs.col_keys(), base.row_keys()) == base.row_keys();
 }
 
+namespace detail {
+
+/// The one BatchQuery → serve::Query realignment, shared by every
+/// array-level batch path (mtimes_batched, mtimes_batched_multi,
+/// ShardedServer::submit): the realignments per-query mtimes /
+/// mtimes_masked would perform, in the coordinates of a base with key
+/// spaces (rows, cols). Throws unless the query is batchable against
+/// those row keys.
+template <semiring::Semiring S>
+serve::Query<S> realign_query(const KeySet& rows, const KeySet& cols,
+                              const BatchQuery<S>& q) {
+  if (key_union(q.lhs.col_keys(), rows) != rows) {
+    throw std::invalid_argument(
+        "array batch: query inner keys outside base row keys");
+  }
+  serve::Query<S> sq;
+  sq.lhs = q.lhs.realign(q.lhs.row_keys(), rows).matrix();
+  if (q.mask) {
+    sq.kind = serve::QueryKind::kMtimesMasked;
+    sq.mask = q.mask->realign(q.lhs.row_keys(), cols).matrix();
+    sq.desc = q.desc;
+  }
+  return sq;
+}
+
+/// Realign every query (queries[i] against *bases[ids[i]]), run them
+/// through serve::run_batch_multi — one coalesced launch per base touched
+/// — and label each result with its lhs row keys and its base's col keys.
+template <semiring::Semiring S>
+std::vector<AssocArray<S>> run_realigned(
+    std::span<const AssocArray<S>* const> bases,
+    std::span<const BatchQuery<S>* const> queries,
+    std::span<const std::size_t> ids, serve::ServeStats* stats) {
+  using T = typename S::value_type;
+  std::vector<serve::Query<S>> qs;
+  qs.reserve(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (ids[i] >= bases.size() || bases[ids[i]] == nullptr) {
+      throw std::invalid_argument("array batch: bad base index");
+    }
+    const auto& base = *bases[ids[i]];
+    qs.push_back(realign_query(base.row_keys(), base.col_keys(), *queries[i]));
+  }
+  std::vector<const sparse::Matrix<T>*> mats;
+  mats.reserve(bases.size());
+  for (const auto* b : bases) mats.push_back(b ? &b->matrix() : nullptr);
+  auto rs = serve::run_batch_multi<S>(mats, qs, ids,
+                                      sparse::MxmStrategy::kAuto, stats);
+  std::vector<AssocArray<S>> out;
+  out.reserve(rs.size());
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    out.emplace_back(queries[i]->lhs.row_keys(), bases[ids[i]]->col_keys(),
+                     std::move(rs[i]));
+  }
+  return out;
+}
+
+}  // namespace detail
+
 /// Execute every query against `base` as one coalesced launch. All queries
 /// must be batchable(); results come back in submission order, each
 /// entry-identical to mtimes / mtimes_masked run alone. The span-of-
@@ -49,33 +108,9 @@ std::vector<AssocArray<S>> mtimes_batched(
     const AssocArray<S>& base,
     std::span<const BatchQuery<S>* const> queries,
     serve::ServeStats* stats = nullptr) {
-  std::vector<serve::Query<S>> qs;
-  qs.reserve(queries.size());
-  for (const auto* q : queries) {
-    if (!batchable(base, *q)) {
-      throw std::invalid_argument(
-          "mtimes_batched: query inner keys outside base row keys");
-    }
-    // The realignments per-query mtimes would perform, in base coordinates.
-    auto lhs = q->lhs.realign(q->lhs.row_keys(), base.row_keys()).matrix();
-    if (q->mask) {
-      auto mask =
-          q->mask->realign(q->lhs.row_keys(), base.col_keys()).matrix();
-      qs.push_back(serve::Query<S>::masked(std::move(lhs),
-                                                  std::move(mask), q->desc));
-    } else {
-      qs.push_back(serve::Query<S>::analytic(std::move(lhs)));
-    }
-  }
-  auto rs = serve::run_batch(base.matrix(), qs, sparse::MxmStrategy::kAuto,
-                             stats);
-  std::vector<AssocArray<S>> out;
-  out.reserve(rs.size());
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    out.emplace_back(queries[i]->lhs.row_keys(), base.col_keys(),
-                     std::move(rs[i]));
-  }
-  return out;
+  const AssocArray<S>* b = &base;
+  const std::vector<std::size_t> ids(queries.size(), 0);
+  return detail::run_realigned<S>(std::span(&b, 1), queries, ids, stats);
 }
 
 template <semiring::Semiring S>
@@ -95,57 +130,24 @@ struct MultiBatchQuery {
   BatchQuery<S> q;
 };
 
-/// Execute queries against SEVERAL bases as one coalesced launch
-/// (serve::run_batch_multi block-diagonal-stacks the bases themselves).
-/// Every query must be batchable() against ITS base; each result is
+/// Execute queries against SEVERAL bases: each base's queries coalesce
+/// into one launch (serve::run_batch_multi groups them per base). Every
+/// query must be batchable() against ITS base; each result is
 /// entry-identical to mtimes / mtimes_masked against that base alone.
 template <semiring::Semiring S>
 std::vector<AssocArray<S>> mtimes_batched_multi(
     std::span<const AssocArray<S>* const> bases,
     std::span<const MultiBatchQuery<S>* const> queries,
     serve::ServeStats* stats = nullptr) {
-  using T = typename S::value_type;
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> base_ids;
+  std::vector<const BatchQuery<S>*> qs;
+  std::vector<std::size_t> ids;
   qs.reserve(queries.size());
-  base_ids.reserve(queries.size());
+  ids.reserve(queries.size());
   for (const auto* mq : queries) {
-    if (mq->base >= bases.size() || bases[mq->base] == nullptr) {
-      throw std::invalid_argument("mtimes_batched_multi: bad base index");
-    }
-    const auto& base = *bases[mq->base];
-    if (!batchable(base, mq->q)) {
-      throw std::invalid_argument(
-          "mtimes_batched_multi: query inner keys outside base row keys");
-    }
-    // The realignments per-query mtimes would perform, in base coordinates.
-    auto lhs =
-        mq->q.lhs.realign(mq->q.lhs.row_keys(), base.row_keys()).matrix();
-    if (mq->q.mask) {
-      auto mask =
-          mq->q.mask->realign(mq->q.lhs.row_keys(), base.col_keys()).matrix();
-      qs.push_back(serve::Query<S>::masked(std::move(lhs),
-                                                  std::move(mask),
-                                                  mq->q.desc));
-    } else {
-      qs.push_back(serve::Query<S>::analytic(std::move(lhs)));
-    }
-    base_ids.push_back(mq->base);
+    qs.push_back(&mq->q);
+    ids.push_back(mq->base);
   }
-  std::vector<const sparse::Matrix<T>*> base_mats;
-  base_mats.reserve(bases.size());
-  for (const auto* b : bases) {
-    base_mats.push_back(b == nullptr ? nullptr : &b->matrix());
-  }
-  auto rs = serve::run_batch_multi<S>(base_mats, qs, base_ids,
-                                      sparse::MxmStrategy::kAuto, stats);
-  std::vector<AssocArray<S>> out;
-  out.reserve(rs.size());
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    out.emplace_back(queries[i]->q.lhs.row_keys(),
-                     bases[base_ids[i]]->col_keys(), std::move(rs[i]));
-  }
-  return out;
+  return detail::run_realigned<S>(bases, qs, ids, stats);
 }
 
 template <semiring::Semiring S>

@@ -70,19 +70,9 @@ class ShardedServer {
   /// would — and scatter it to the shard(s) its key range touches. Returns
   /// the router ticket.
   std::size_t submit(serve::TenantId tenant, const BatchQuery<S>& q) {
-    if (!batchable(q)) {
-      throw std::invalid_argument(
-          "ShardedServer: query inner keys outside base row keys");
-    }
-    serve::Query<S> sq;
     const bool telemetry = util::metrics::enabled();
     const std::uint64_t t0 = telemetry ? util::metrics::clock_ns() : 0;
-    sq.lhs = q.lhs.realign(q.lhs.row_keys(), rows_).matrix();
-    if (q.mask) {
-      sq.kind = serve::QueryKind::kMtimesMasked;
-      sq.mask = q.mask->realign(q.lhs.row_keys(), cols_).matrix();
-      sq.desc = q.desc;
-    }
+    auto sq = detail::realign_query(rows_, cols_, q);
     if (telemetry) {
       // The key→coordinate realignment is the one per-query cost unique
       // to this layer; its time distribution says whether the sharded key

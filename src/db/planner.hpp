@@ -147,6 +147,63 @@ BatchRoute route_batch_query(const array::AssocArray<S>& base,
                                    : BatchRoute::kFallback;
 }
 
+/// What a batch planner's launch step hands back for the coalesced group.
+template <semiring::Semiring S>
+struct Coalesced {
+  std::vector<array::AssocArray<S>> results;  ///< one per coalesced query
+  int launches = 0;                           ///< counts as PlanStats::batches
+  serve::ServeStats serve;                    ///< the launches' accounting
+};
+
+/// The one route-and-fallback loop behind every batch planner. Query i
+/// (`query_of(i)`, against `base_of(i)`) takes route_batch_query's
+/// prechecks: an annihilated query's result stays the empty array, exactly
+/// as planned_mtimes returns it; a fallback runs planned, per query, right
+/// here; the coalescible survivors go to `launch(idx)` as one group
+/// (indices ascending), whose results land back in query order. The
+/// coalesced-group PlanStats accounting lives here, once.
+template <semiring::Semiring S, typename BaseOf, typename QueryOf,
+          typename Launch>
+std::vector<array::AssocArray<S>> route_batch(std::size_t n, BaseOf&& base_of,
+                                              QueryOf&& query_of,
+                                              Launch&& launch,
+                                              PlanStats* stats,
+                                              serve::ServeStats* serve_stats) {
+  std::vector<array::AssocArray<S>> out(n);
+  std::vector<std::size_t> coalesce;
+  for (std::size_t i = 0; i < n; ++i) {
+    const array::AssocArray<S>& base = base_of(i);
+    const array::BatchQuery<S>& q = query_of(i);
+    switch (route_batch_query(base, q, stats)) {
+      case BatchRoute::kAnnihilated:
+        break;
+      case BatchRoute::kCoalesce:
+        coalesce.push_back(i);
+        break;
+      case BatchRoute::kFallback:
+        out[i] = q.mask ? planned_mtimes_masked(q.lhs, base, *q.mask, q.desc,
+                                                stats)
+                        : planned_mtimes(q.lhs, base, stats);
+        if (stats) ++stats->queries_fallback;
+        break;
+    }
+  }
+  if (coalesce.empty()) return out;
+  Coalesced<S> c = launch(coalesce);
+  for (std::size_t k = 0; k < coalesce.size(); ++k) {
+    out[coalesce[k]] = std::move(c.results[k]);
+  }
+  if (stats) {
+    stats->batches += c.launches;
+    stats->queries_batched += static_cast<int>(coalesce.size());
+    stats->products_evaluated += static_cast<int>(coalesce.size());
+    stats->mask_flops_kept += c.serve.flops_kept;
+    stats->mask_flops_skipped += c.serve.flops_skipped;
+  }
+  if (serve_stats) *serve_stats += c.serve;
+  return out;
+}
+
 }  // namespace detail
 
 /// Serve K concurrent queries against one base array — the §V-B "parallel
@@ -155,8 +212,8 @@ BatchRoute route_batch_query(const array::AssocArray<S>& base,
 /// survivors split two ways:
 ///
 ///   * batchable (inner alignment = the base's row key space, see
-///     array::batchable) — coalesced into ONE block-diagonal launch
-///     through serve::run_batch;
+///     array::batchable) — coalesced into ONE launch through
+///     serve::run_batch;
 ///   * incompatible key spaces — per-query planned fallback. (Semiring
 ///     compatibility is the template parameter: queries over different
 ///     semirings cannot share a batch by construction.)
@@ -168,44 +225,21 @@ std::vector<array::AssocArray<S>> planned_batch(
     const array::AssocArray<S>& base,
     const std::vector<array::BatchQuery<S>>& queries,
     PlanStats* stats = nullptr, serve::ServeStats* serve_stats = nullptr) {
-  std::vector<array::AssocArray<S>> out(queries.size());
-  std::vector<std::size_t> coalesce;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto& q = queries[i];
-    switch (detail::route_batch_query(base, q, stats)) {
-      case detail::BatchRoute::kAnnihilated:
-        break;  // out[i] stays the empty array, exactly as planned_mtimes
-      case detail::BatchRoute::kCoalesce:
-        coalesce.push_back(i);
-        break;
-      case detail::BatchRoute::kFallback:
-        out[i] = q.mask ? planned_mtimes_masked(q.lhs, base, *q.mask, q.desc,
-                                                stats)
-                        : planned_mtimes(q.lhs, base, stats);
-        if (stats) ++stats->queries_fallback;
-        break;
-    }
-  }
-  if (!coalesce.empty()) {
-    // Pointers, not copies: the coalesced subset is consulted in place.
-    std::vector<const array::BatchQuery<S>*> group;
-    group.reserve(coalesce.size());
-    for (const auto i : coalesce) group.push_back(&queries[i]);
-    serve::ServeStats ss;
-    auto rs = array::mtimes_batched<S>(base, group, &ss);
-    for (std::size_t k = 0; k < coalesce.size(); ++k) {
-      out[coalesce[k]] = std::move(rs[k]);
-    }
-    if (stats) {
-      ++stats->batches;
-      stats->queries_batched += static_cast<int>(coalesce.size());
-      stats->products_evaluated += static_cast<int>(coalesce.size());
-      stats->mask_flops_kept += ss.flops_kept;
-      stats->mask_flops_skipped += ss.flops_skipped;
-    }
-    if (serve_stats) *serve_stats += ss;
-  }
-  return out;
+  return detail::route_batch<S>(
+      queries.size(),
+      [&](std::size_t) -> const array::AssocArray<S>& { return base; },
+      [&](std::size_t i) -> const array::BatchQuery<S>& { return queries[i]; },
+      [&](const std::vector<std::size_t>& idx) {
+        // Pointers, not copies: the coalesced subset is consulted in place.
+        std::vector<const array::BatchQuery<S>*> group;
+        group.reserve(idx.size());
+        for (const auto i : idx) group.push_back(&queries[i]);
+        detail::Coalesced<S> c;
+        c.results = array::mtimes_batched<S>(base, group, &c.serve);
+        c.launches = static_cast<int>(c.serve.kernel_launches);
+        return c;
+      },
+      stats, serve_stats);
 }
 
 /// Shard-aware planned serving: K concurrent queries against one base held
@@ -216,7 +250,8 @@ std::vector<array::AssocArray<S>> planned_batch(
 /// path the key-space precheck extends to the SHARD level: the scatter
 /// routes a query only to the shards its inner key range actually touches,
 /// so disjoint shards never see a sub-query — the per-shard §IV
-/// annihilation, visible as shard_subqueries in the stats. Results are
+/// annihilation, visible as shard_subqueries in the stats. The coalesced
+/// group counts as one batch (one router flush). Results are
 /// entry-identical to planned_batch against the unsharded base.
 ///
 /// `base` must be the array `server` was built from (same key spaces); it
@@ -231,75 +266,51 @@ std::vector<array::AssocArray<S>> planned_sharded_batch(
     throw std::invalid_argument(
         "planned_sharded_batch: server/base key spaces differ");
   }
-  std::vector<array::AssocArray<S>> out(queries.size());
-  std::vector<std::size_t> coalesce;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto& q = queries[i];
-    switch (detail::route_batch_query(base, q, stats)) {
-      case detail::BatchRoute::kAnnihilated:
-        break;  // out[i] stays the empty array, exactly as planned_mtimes
-      case detail::BatchRoute::kCoalesce:
-        coalesce.push_back(i);
-        break;
-      case detail::BatchRoute::kFallback:
-        out[i] = q.mask ? planned_mtimes_masked(q.lhs, base, *q.mask, q.desc,
-                                                stats)
-                        : planned_mtimes(q.lhs, base, stats);
-        if (stats) ++stats->queries_fallback;
-        break;
-    }
-  }
-  if (!coalesce.empty()) {
-    const auto before = server.router_stats();
-    const auto sbefore = server.stats();
-    std::vector<std::size_t> tickets;
-    tickets.reserve(coalesce.size());
-    for (const auto i : coalesce) tickets.push_back(server.submit(queries[i]));
-    server.flush();
-    for (std::size_t k = 0; k < coalesce.size(); ++k) {
-      out[coalesce[k]] = server.wait(tickets[k]);
-    }
-    const auto after = server.router_stats();
-    const auto safter = server.stats();
-    if (stats) {
-      ++stats->batches;
-      stats->queries_batched += static_cast<int>(coalesce.size());
-      stats->products_evaluated += static_cast<int>(coalesce.size());
-      stats->mask_flops_kept += safter.flops_kept - sbefore.flops_kept;
-      stats->mask_flops_skipped +=
-          safter.flops_skipped - sbefore.flops_skipped;
-      stats->queries_single_shard +=
-          static_cast<int>(after.single_shard - before.single_shard);
-      stats->queries_straddling +=
-          static_cast<int>(after.straddling - before.straddling);
-      stats->shard_subqueries +=
-          static_cast<int>(after.stage_submits - before.stage_submits);
-    }
-    if (serve_stats) {
-      // Add only this call's delta: the server may be long-lived.
-      serve_stats->queries += safter.queries - sbefore.queries;
-      serve_stats->batches += safter.batches - sbefore.batches;
-      serve_stats->kernel_launches +=
-          safter.kernel_launches - sbefore.kernel_launches;
-      serve_stats->launches_saved +=
-          safter.launches_saved - sbefore.launches_saved;
-      serve_stats->rows_coalesced +=
-          safter.rows_coalesced - sbefore.rows_coalesced;
-      serve_stats->flops_kept += safter.flops_kept - sbefore.flops_kept;
-      serve_stats->flops_skipped +=
-          safter.flops_skipped - sbefore.flops_skipped;
-    }
-  }
-  return out;
+  return detail::route_batch<S>(
+      queries.size(),
+      [&](std::size_t) -> const array::AssocArray<S>& { return base; },
+      [&](std::size_t i) -> const array::BatchQuery<S>& { return queries[i]; },
+      [&](const std::vector<std::size_t>& idx) {
+        const auto before = server.router_stats();
+        const auto sbefore = server.stats();
+        std::vector<std::size_t> tickets;
+        tickets.reserve(idx.size());
+        for (const auto i : idx) tickets.push_back(server.submit(queries[i]));
+        server.flush();
+        detail::Coalesced<S> c;
+        c.results.reserve(idx.size());
+        for (const auto t : tickets) c.results.push_back(server.wait(t));
+        const auto after = server.router_stats();
+        const auto safter = server.stats();
+        c.launches = 1;
+        // Only this call's delta: the server may be long-lived.
+        c.serve.queries = safter.queries - sbefore.queries;
+        c.serve.batches = safter.batches - sbefore.batches;
+        c.serve.kernel_launches =
+            safter.kernel_launches - sbefore.kernel_launches;
+        c.serve.launches_saved = safter.launches_saved - sbefore.launches_saved;
+        c.serve.rows_coalesced = safter.rows_coalesced - sbefore.rows_coalesced;
+        c.serve.flops_kept = safter.flops_kept - sbefore.flops_kept;
+        c.serve.flops_skipped = safter.flops_skipped - sbefore.flops_skipped;
+        if (stats) {
+          stats->queries_single_shard +=
+              static_cast<int>(after.single_shard - before.single_shard);
+          stats->queries_straddling +=
+              static_cast<int>(after.straddling - before.straddling);
+          stats->shard_subqueries +=
+              static_cast<int>(after.stage_submits - before.stage_submits);
+        }
+        return c;
+      },
+      stats, serve_stats);
 }
 
 /// Multi-base planned serving: K concurrent queries, each routed at one of
 /// SEVERAL base arrays. Every query gets the same §IV inner-key and §V-B
 /// mask-annihilation prechecks against its own base; the survivors split:
 ///
-///   * batchable against their base — coalesced into ONE cross-base
-///     block-diagonal launch (serve::run_batch_multi stacks the bases
-///     themselves);
+///   * batchable against their base — coalesced per base, one launch per
+///     base touched (array::mtimes_batched_multi);
 ///   * incompatible key spaces — per-query planned fallback against their
 ///     base, exactly as the single-base router falls back.
 ///
@@ -310,53 +321,33 @@ std::vector<array::AssocArray<S>> planned_multi_batch(
     const std::vector<const array::AssocArray<S>*>& bases,
     const std::vector<array::MultiBatchQuery<S>>& queries,
     PlanStats* stats = nullptr, serve::ServeStats* serve_stats = nullptr) {
-  std::vector<array::AssocArray<S>> out(queries.size());
-  std::vector<std::size_t> coalesce;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto& mq = queries[i];
-    if (mq.base >= bases.size() || bases[mq.base] == nullptr) {
-      throw std::invalid_argument("planned_multi_batch: bad base index");
-    }
-    const auto& base = *bases[mq.base];
-    const auto& q = mq.q;
-    switch (detail::route_batch_query(base, q, stats)) {
-      case detail::BatchRoute::kAnnihilated:
-        break;  // out[i] stays the empty array, exactly as planned_mtimes
-      case detail::BatchRoute::kCoalesce:
-        coalesce.push_back(i);
-        break;
-      case detail::BatchRoute::kFallback:
-        out[i] = q.mask ? planned_mtimes_masked(q.lhs, base, *q.mask, q.desc,
-                                                stats)
-                        : planned_mtimes(q.lhs, base, stats);
-        if (stats) ++stats->queries_fallback;
-        break;
-    }
-  }
-  if (!coalesce.empty()) {
-    std::vector<const array::MultiBatchQuery<S>*> group;
-    group.reserve(coalesce.size());
-    for (const auto i : coalesce) group.push_back(&queries[i]);
-    serve::ServeStats ss;
-    auto rs = array::mtimes_batched_multi<S>(
-        std::span<const array::AssocArray<S>* const>(bases.data(),
-                                                     bases.size()),
-        std::span<const array::MultiBatchQuery<S>* const>(group.data(),
-                                                          group.size()),
-        &ss);
-    for (std::size_t k = 0; k < coalesce.size(); ++k) {
-      out[coalesce[k]] = std::move(rs[k]);
-    }
-    if (stats) {
-      ++stats->batches;
-      stats->queries_batched += static_cast<int>(coalesce.size());
-      stats->products_evaluated += static_cast<int>(coalesce.size());
-      stats->mask_flops_kept += ss.flops_kept;
-      stats->mask_flops_skipped += ss.flops_skipped;
-    }
-    if (serve_stats) *serve_stats += ss;
-  }
-  return out;
+  return detail::route_batch<S>(
+      queries.size(),
+      [&](std::size_t i) -> const array::AssocArray<S>& {
+        const auto b = queries[i].base;
+        if (b >= bases.size() || bases[b] == nullptr) {
+          throw std::invalid_argument("planned_multi_batch: bad base index");
+        }
+        return *bases[b];
+      },
+      [&](std::size_t i) -> const array::BatchQuery<S>& {
+        return queries[i].q;
+      },
+      [&](const std::vector<std::size_t>& idx) {
+        std::vector<const array::MultiBatchQuery<S>*> group;
+        group.reserve(idx.size());
+        for (const auto i : idx) group.push_back(&queries[i]);
+        detail::Coalesced<S> c;
+        c.results = array::mtimes_batched_multi<S>(
+            std::span<const array::AssocArray<S>* const>(bases.data(),
+                                                         bases.size()),
+            std::span<const array::MultiBatchQuery<S>* const>(group.data(),
+                                                              group.size()),
+            &c.serve);
+        c.launches = static_cast<int>(c.serve.kernel_launches);
+        return c;
+      },
+      stats, serve_stats);
 }
 
 /// Chain product A1 ⊕.⊗ A2 ⊕.⊗ ... with early exit: the first disjoint

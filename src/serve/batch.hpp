@@ -1,26 +1,28 @@
 #pragma once
-// Batched query serving — block-diagonal coalescing of concurrent queries.
+// Batched query serving — row-stacked coalescing of concurrent queries.
 //
-// The ROADMAP north star is serving millions of concurrent users, but a
-// kernel library answers one query per launch: every mtimes pays region
+// A kernel library answers one query per launch: every mtimes pays region
 // spin-up, per-thread scratch construction, and mask setup alone. This
 // header coalesces K concurrent queries against a shared base matrix B
-// into ONE masked SpGEMM:
+// into ONE masked SpGEMM (run_batch):
 //
 //   stack   — per-query left operands concatenate into disjoint row ranges
-//             (sparse::concat_rows), so the batch is a single operand
+//             (sparse::concat_blocks), so the batch is a single operand
 //             whose row blocks ARE the queries;
-//   mask    — per-query output masks concatenate the same way, and
-//             mxm_masked_batched resolves each row block's own mask
-//             sense/probe, so plain-masked, complement-masked, and
-//             unmasked queries share one fused launch;
-//   scatter — the stacked result splits back per query
-//             (sparse::split_rows).
+//   mask    — each row block probes its own query's mask view under its
+//             own sense/probe (sparse::detail::MultiMask), so plain-masked,
+//             complement-masked, and unmasked queries share one fused
+//             launch and no mask entry is copied;
+//   scatter — per-query results assemble straight from the kernel's row
+//             slices (detail::run_stacked).
+//
+// Queries routed at several bases (run_batch_multi, the Executor) group
+// per base: one coalesced launch per base a batch touches.
 //
 // Determinism contract: the driver computes each stacked row with exactly
 // the accumulation the per-query kernel would run (same B rows, same mask
-// row, same encounter order), and split_rows rebuilds each result through
-// the same canonical-triple path — so batched results are bit-identical to
+// row, same encounter order), and each result is rebuilt through the same
+// canonical-triple path — so batched results are bit-identical to
 // per-query execution at any thread count, for every semiring and
 // strategy. tests/test_serve.cpp enforces this.
 
@@ -182,23 +184,19 @@ void validate_query(const sparse::Matrix<typename S::value_type>& base,
   validate_query<S>(base.nrows(), base.ncols(), q);
 }
 
-/// The shared coalesced core behind run_batch and run_batch_on_stack: run
+/// The coalesced core behind run_batch (and run_single's seeded path): run
 /// the stacked operand against B under the per-query zero-copy mask
 /// policy, then scatter per-query results straight from the driver's row
-/// slices. `qcol_off` empty ⇒ one shared column space (single base);
-/// otherwise query i's result columns rebase by qcol_off[i] into a
-/// qncols[i]-wide matrix. Each row is computed with exactly the
-/// accumulation the per-query kernel would run and assembled through the
-/// same canonical-triple path, so every result is bit-identical to
+/// slices. Each row is computed with exactly the accumulation the
+/// per-query kernel would run and assembled through the same
+/// canonical-triple path, so every result is bit-identical to
 /// run_single's — the one copy of the serving determinism contract.
 template <semiring::Semiring S>
 std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
     const sparse::Matrix<typename S::value_type>& stacked,
     const sparse::detail::BaseView<typename S::value_type>& B,
     std::span<const Query<S>* const> queries,
-    std::span<const sparse::Index> offsets,
-    std::span<const sparse::Index> qcol_off,
-    std::span<const sparse::Index> qncols, sparse::MxmStrategy strategy,
+    std::span<const sparse::Index> offsets, sparse::MxmStrategy strategy,
     sparse::MxmMaskStats* ms) {
   using T = typename S::value_type;
   bool any_mask = false;
@@ -210,8 +208,8 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
 
   // Zero-copy carry path: each query block seeds its rows from its own
   // carry view (the shard chain's fold continuation), addressed in local
-  // row space, columns shifted into the block's output band. Queries
-  // without a carry keep the default (empty) view — no seed.
+  // row space. Queries without a carry keep the default (empty) view — no
+  // seed.
   std::vector<sparse::SparseView<T>> cviews;
   sparse::detail::MultiCarry<T> cpolicy;
   if (any_carry) {
@@ -219,7 +217,7 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
     for (std::size_t i = 0; i < queries.size(); ++i) {
       if (queries[i]->carry) cviews[i] = queries[i]->carry->view();
     }
-    cpolicy = {cviews, offsets, qcol_off};
+    cpolicy = {cviews, offsets};
   }
 
   std::vector<sparse::detail::RowSlice<T>> rows;
@@ -232,9 +230,8 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
                                                       nomask, ms);
   } else {
     // Zero-copy mask path: each query block probes its own mask view in
-    // local row (and, multi-base, local column) coordinates; unmasked
-    // blocks get an empty view under a complement sense (absent ⇒ all
-    // allowed). No mask entry is copied.
+    // local row coordinates; unmasked blocks get an empty view under a
+    // complement sense (absent ⇒ all allowed). No mask entry is copied.
     std::vector<sparse::SparseView<T>> mviews(queries.size());
     std::vector<sparse::MaskDesc> descs(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -245,8 +242,7 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
         descs[i] = {.complement = true};
       }
     }
-    const sparse::detail::MultiMask<T> policy{mviews, offsets, descs,
-                                              qcol_off};
+    const sparse::detail::MultiMask<T> policy{mviews, offsets, descs};
     rows = any_carry
                ? sparse::detail::mxm_dispatch_rows<S>(stacked, B, strategy,
                                                       policy, ms, cpolicy)
@@ -256,17 +252,16 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
 
   // Scatter: slices are sorted by stacked row, so query q owns the
   // contiguous run in [offsets[q], offsets[q+1]); rows rebase by the
-  // query's block offset, columns by its base's column offset. Carry rows
-  // whose lhs row the driver never visited (no lhs entries in this launch)
-  // pass through verbatim — rows the driver DID visit already contain
-  // their carry via the in-kernel seed.
+  // query's block offset. Carry rows whose lhs row the driver never
+  // visited (no lhs entries in this launch) pass through verbatim — rows
+  // the driver DID visit already contain their carry via the in-kernel
+  // seed.
   const auto nq = static_cast<std::ptrdiff_t>(queries.size());
   std::vector<sparse::Matrix<T>> results(queries.size());
   util::parallel_for(0, nq, 1, [&](std::ptrdiff_t q) {
     const auto qi = static_cast<std::size_t>(q);
     const sparse::Index lo = offsets[qi];
     const sparse::Index hi = offsets[qi + 1];
-    const sparse::Index coff = qcol_off.empty() ? 0 : qcol_off[qi];
     const auto first = std::lower_bound(
         rows.begin(), rows.end(), lo,
         [](const auto& r, sparse::Index v) { return r.row < v; });
@@ -299,14 +294,14 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
         if (ci < cv->row_ids.size() && cv->row_ids[ci] == local) ++ci;
       }
       for (std::size_t j = 0; j < it->cols.size(); ++j) {
-        t.push_back({local, it->cols[j] - coff, std::move(it->vals[j])});
+        t.push_back({local, it->cols[j], std::move(it->vals[j])});
       }
     }
     if (cv) {
       for (; ci < cv->row_ids.size(); ++ci) emit_carry_row(ci);
     }
-    results[qi] = sparse::Matrix<T>::from_canonical_triples(
-        hi - lo, qncols[qi], t, S::zero());
+    results[qi] = sparse::Matrix<T>::from_canonical_triples(hi - lo, B.ncols,
+                                                            t, S::zero());
   });
   return results;
 }
@@ -329,9 +324,8 @@ sparse::Matrix<typename S::value_type> run_single(
     // own "stacked" operand; the shared core handles seed + pass-through.
     const Query<S>* qp = &q;
     const std::vector<sparse::Index> offsets{0, q.lhs.nrows()};
-    const std::vector<sparse::Index> qncols{base.ncols};
     auto rs = detail::run_stacked<S>(q.lhs, base, std::span(&qp, 1), offsets,
-                                     {}, qncols, strategy, ms);
+                                     strategy, ms);
     return std::move(rs.front());
   }
   if (q.mask) {
@@ -369,9 +363,10 @@ sparse::Matrix<typename S::value_type> run_single(
 /// Execute every query against `base` as one coalesced launch; results are
 /// returned in submission order, each bit-identical to run_single's. The
 /// BaseView span-of-pointers overload is the core — callers that route a
-/// larger query list (the per-base fallback, db::planned_batch via the
+/// larger query list (the per-base grouping, db::planned_batch via the
 /// array layer) coalesce a subset without copying any operand, and a delta
-/// snapshot's patched base serves through the identical path.
+/// snapshot's patched base (DeltaSnapshot::base_view) serves through the
+/// identical path.
 template <semiring::Semiring S>
 std::vector<sparse::Matrix<typename S::value_type>> run_batch(
     const sparse::detail::BaseView<typename S::value_type>& base,
@@ -405,9 +400,8 @@ std::vector<sparse::Matrix<typename S::value_type>> run_batch(
     // Run the ONE coalesced product and scatter per-query results straight
     // from the driver's row slices — no stacked result matrix is ever
     // materialized or re-split (detail::run_stacked).
-    const std::vector<sparse::Index> qncols(queries.size(), base.ncols);
-    results = detail::run_stacked<S>(stacked, base, queries, offsets, {},
-                                     qncols, strategy, &ms);
+    results = detail::run_stacked<S>(stacked, base, queries, offsets,
+                                     strategy, &ms);
   }
 
   if (stats) {
@@ -434,17 +428,6 @@ std::vector<sparse::Matrix<typename S::value_type>> run_batch(
 
 template <semiring::Semiring S>
 std::vector<sparse::Matrix<typename S::value_type>> run_batch(
-    const sparse::DeltaSnapshot<typename S::value_type>& snap,
-    std::span<const Query<S>* const> queries,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  auto out = run_batch<S>(snap.base_view(), queries, strategy, stats);
-  if (stats) stats->epoch = std::max(stats->epoch, snap.epoch);
-  return out;
-}
-
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch(
     const sparse::Matrix<typename S::value_type>& base,
     const std::vector<Query<S>>& queries,
     sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
@@ -455,25 +438,14 @@ std::vector<sparse::Matrix<typename S::value_type>> run_batch(
   return run_batch<S>(base, ptrs, strategy, stats);
 }
 
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch(
-    const sparse::DeltaSnapshot<typename S::value_type>& snap,
-    const std::vector<Query<S>>& queries,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  std::vector<const Query<S>*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const auto& q : queries) ptrs.push_back(&q);
-  return run_batch<S>(snap, ptrs, strategy, stats);
-}
-
 namespace detail {
 
-/// The per-base fallback shared by run_batch_multi and the executor: group
-/// (queries, ids) per base and run each group as its own coalesced batch —
-/// still batched within a base, never stacked across bases, no operand
-/// copied (groups are pointer spans). Results return in input order.
-/// `base_of(id)` resolves a base id to its matrix.
+/// The one launch path for queries routed at several bases, shared by
+/// run_batch_multi and the Executor: group (queries, ids) per base and run
+/// each group as its own coalesced run_batch launch — one launch per base
+/// touched, no operand copied (groups are pointer spans). Results return
+/// in input order. `base_of(id)` resolves a base id to its matrix or
+/// BaseView (the Executor passes the snapshot it pinned at flush).
 template <semiring::Semiring S, typename GetBase>
 std::vector<sparse::Matrix<typename S::value_type>> run_batch_per_base(
     GetBase&& base_of, std::span<const Query<S>* const> queries,
@@ -503,116 +475,11 @@ std::vector<sparse::Matrix<typename S::value_type>> run_batch_per_base(
 
 }  // namespace detail
 
-/// Execute queries against a PREBUILT block-diagonal base stack as one
-/// coalesced launch: block_of[i] names the stack block (base) query i
-/// runs against. This is the steady-state serving path — a long-lived
-/// executor stacks its bases ONCE and reuses the stack every flush, so a
-/// batch pays O(queries), never O(nnz(bases)). Each query's lhs lands at
-/// the column offset of its base's ROW band (lhs columns index base
-/// rows), and per-query masks probe in their base's local column space
-/// through the two-sided MultiMask — so queries against different bases
-/// share ONE fused kernel launch. Results come back in submission order,
-/// each in its own base's column space, bit-identical to run_single
-/// against that base.
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch_on_stack(
-    const sparse::BaseStack<typename S::value_type>& stack,
-    std::span<const Query<S>* const> queries,
-    std::span<const std::size_t> block_of,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  using T = typename S::value_type;
-  if (queries.size() != block_of.size()) {
-    throw std::invalid_argument("run_batch_on_stack: one block per query");
-  }
-  if (queries.empty()) return {};
-  const std::size_t nblocks = stack.row_offsets.size() - 1;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (block_of[i] >= nblocks) {
-      throw std::invalid_argument("run_batch_on_stack: bad block index");
-    }
-  }
-
-  std::vector<sparse::Index> offsets(queries.size() + 1, 0);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    offsets[i + 1] = offsets[i] + queries[i]->lhs.nrows();
-  }
-
-  // Stack the lhs operands: query i's columns shift into its base's row
-  // band of the block-diagonal base stack.
-  std::vector<sparse::Block<T>> ablocks;
-  ablocks.reserve(queries.size());
-  std::vector<sparse::Index> qcol_off(queries.size(), 0);
-  std::vector<sparse::Index> qncols(queries.size(), 0);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto g = block_of[i];
-    if (queries[i]->lhs.ncols() !=
-        stack.row_offsets[g + 1] - stack.row_offsets[g]) {
-      throw std::invalid_argument(
-          "run_batch_on_stack: query inner dimension mismatch");
-    }
-    qncols[i] = stack.col_offsets[g + 1] - stack.col_offsets[g];
-    if (queries[i]->mask &&
-        (queries[i]->mask->nrows() != queries[i]->lhs.nrows() ||
-         queries[i]->mask->ncols() != qncols[i])) {
-      throw std::invalid_argument("run_batch_on_stack: mask shape mismatch");
-    }
-    if (queries[i]->carry &&
-        (queries[i]->carry->nrows() != queries[i]->lhs.nrows() ||
-         queries[i]->carry->ncols() != qncols[i])) {
-      throw std::invalid_argument("run_batch_on_stack: carry shape mismatch");
-    }
-    ablocks.push_back({&queries[i]->lhs, offsets[i], stack.row_offsets[g]});
-    qcol_off[i] = stack.col_offsets[g];  // result-column rebase per query
-  }
-  const auto stacked = sparse::concat_blocks(
-      offsets.back(), stack.stacked.nrows(), std::move(ablocks), S::zero());
-
-  sparse::MxmMaskStats ms;
-  // The two-sided coalesced core: block i probes its own mask view in
-  // local row AND column coordinates, and results scatter back into each
-  // base's own column space (detail::run_stacked).
-  const sparse::detail::BaseView<T> bview(stack.stacked);
-  auto results = detail::run_stacked<S>(stacked, bview, queries, offsets,
-                                        qcol_off, qncols, strategy, &ms);
-
-  if (stats) {
-    stats->queries += queries.size();
-    stats->batches += 1;
-    stats->kernel_launches += 1;
-    stats->launches_saved += queries.size() - 1;
-    stats->rows_coalesced += static_cast<std::uint64_t>(offsets.back());
-    stats->flops_kept += ms.flops_kept;
-    stats->flops_skipped += ms.flops_skipped;
-  }
-  return results;
-}
-
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch_on_stack(
-    const sparse::BaseStack<typename S::value_type>& stack,
-    const std::vector<Query<S>>& queries,
-    std::span<const std::size_t> block_of,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  std::vector<const Query<S>*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const auto& q : queries) ptrs.push_back(&q);
-  return run_batch_on_stack<S>(stack, ptrs, block_of, strategy, stats);
-}
-
-/// Execute queries routed at SEVERAL bases as one coalesced launch:
-/// base_ids[i] names the base query i runs against. The used bases stack
-/// block-diagonally (sparse::stack_bases) and the batch runs through
-/// run_batch_on_stack. This one-shot entry point pays the O(nnz(bases))
-/// stacking per call — a long-lived server should stack once and call
-/// run_batch_on_stack per flush, which is exactly what the Executor's
-/// cached-stack path does.
-///
-/// Fallback: a forced kGustavson strategy whose dense scratch fits each
-/// base alone but not the stacked column space falls back to one coalesced
-/// batch PER base (still batched within each base) — mirroring how
-/// db::planned_batch falls back per-query on incompatible key spaces.
+/// Execute queries routed at SEVERAL bases: base_ids[i] names the base
+/// query i runs against. Each base's queries coalesce into one run_batch
+/// launch (detail::run_batch_per_base), so a batch touching G bases issues
+/// G launches; each result is bit-identical to run_single against its
+/// base.
 template <semiring::Semiring S>
 std::vector<sparse::Matrix<typename S::value_type>> run_batch_multi(
     std::span<const sparse::Matrix<typename S::value_type>* const> bases,
@@ -624,51 +491,20 @@ std::vector<sparse::Matrix<typename S::value_type>> run_batch_multi(
   if (queries.size() != base_ids.size()) {
     throw std::invalid_argument("run_batch_multi: one base id per query");
   }
-  if (queries.empty()) return {};
+  std::vector<const Query<S>*> ptrs;
+  ptrs.reserve(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     if (base_ids[i] >= bases.size() || bases[base_ids[i]] == nullptr) {
       throw std::invalid_argument("run_batch_multi: bad base id");
     }
     detail::validate_query(*bases[base_ids[i]], queries[i]);
+    ptrs.push_back(&queries[i]);
   }
-
-  // Used bases in ascending id order; position of each id in the stack.
-  std::vector<std::size_t> used(base_ids.begin(), base_ids.end());
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  if (used.size() == 1) {
-    // One base after all — the single-base path, bit for bit.
-    return run_batch(*bases[used.front()], queries, strategy, stats);
-  }
-
-  std::vector<const sparse::Matrix<T>*> base_ptrs;
-  base_ptrs.reserve(used.size());
-  sparse::Index stacked_cols = 0;
-  for (const auto id : used) {
-    base_ptrs.push_back(bases[id]);
-    stacked_cols += bases[id]->ncols();
-  }
-  if (strategy == sparse::MxmStrategy::kGustavson &&
-      stacked_cols > sparse::kMaxGustavsonWidth) {
-    // The dense scratch fits per base but not stacked: batch per base.
-    std::vector<const Query<S>*> ptrs;
-    ptrs.reserve(queries.size());
-    for (const auto& q : queries) ptrs.push_back(&q);
-    return detail::run_batch_per_base<S>(
-        [&bases](std::size_t id) -> const sparse::Matrix<T>& {
-          return *bases[id];
-        },
-        ptrs, base_ids, strategy, stats);
-  }
-
-  const auto stack = sparse::stack_bases<T>(base_ptrs, S::zero());
-  std::vector<std::size_t> block_of(queries.size(), 0);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    block_of[i] = static_cast<std::size_t>(
-        std::lower_bound(used.begin(), used.end(), base_ids[i]) -
-        used.begin());
-  }
-  return run_batch_on_stack<S>(stack, queries, block_of, strategy, stats);
+  return detail::run_batch_per_base<S>(
+      [&bases](std::size_t id) -> const sparse::Matrix<T>& {
+        return *bases[id];
+      },
+      ptrs, base_ids, strategy, stats);
 }
 
 }  // namespace hyperspace::serve

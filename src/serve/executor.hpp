@@ -1,13 +1,11 @@
 #pragma once
-// Executor — the serving loop's front door over run_batch /
-// run_batch_on_stack.
+// Executor — the serving loop's front door over run_batch.
 //
 // Queries are submitted against one of several base matrices the executor
 // owns, tagged with a tenant id, and queued per tenant. A flush drains the
 // queues into coalesced batches under the admission policy and runs each
-// batch as a single launch — queries against *different* bases still share
-// one launch via the block-diagonal base stack built ONCE at construction
-// (run_batch_on_stack, so a flush pays O(queries), never O(nnz(bases))):
+// batch as one coalesced run_batch launch per base it touches, against
+// the snapshots pinned at flush (detail::run_batch_per_base):
 //
 //   * max_batch_queries  — close a batch after this many queries (bounds
 //     result latency and stacked-operand size);
@@ -174,21 +172,6 @@ class Executor : public Service<S> {
     for (auto& b : bases) {
       bases_.push_back(std::make_unique<sparse::DeltaBase<S>>(std::move(b),
                                                               cfg_.delta));
-    }
-    if (bases_.size() > 1) {
-      // Stack the bases block-diagonally ONCE: every mixed-base flush at
-      // epoch 0 then runs on the cached stack (run_batch_on_stack), paying
-      // O(queries) per batch instead of O(nnz(bases)). Once a base has
-      // been mutated its stacked block is stale, so mixed batches touching
-      // a mutated base fall back to per-base launches (run_admitted).
-      std::vector<const sparse::Matrix<T>*> ptrs;
-      ptrs.reserve(bases_.size());
-      for (const auto& b : bases_) {
-        ptrs.push_back(&b->main_matrix());
-        stacked_cols_ += b->ncols();
-      }
-      stack_ = sparse::stack_bases<T>(ptrs, S::zero());
-      (void)stack_.stacked.view();
     }
     if (cfg_.async) {
       flusher_running_ = true;
@@ -631,17 +614,15 @@ class Executor : public Service<S> {
   }
 
   void run_admitted(std::vector<Pending>& batch) {
-    std::vector<Query<S>> qs;
+    std::vector<const Query<S>*> qs;
     std::vector<std::size_t> ids;
     qs.reserve(batch.size());
     ids.reserve(batch.size());
-    bool mixed = false;
     std::uint64_t batch_flops = 0;
-    for (auto& p : batch) {
-      qs.push_back(std::move(p.q));
+    for (const auto& p : batch) {
+      qs.push_back(&p.q);
       ids.push_back(p.base);
       batch_flops += p.flops;
-      mixed |= p.base != batch.front().base;
     }
     // Pin the involved bases' snapshots FIRST: the whole batch runs on
     // the epochs captured here even if mutations land mid-run, and the
@@ -649,12 +630,10 @@ class Executor : public Service<S> {
     std::vector<std::shared_ptr<const sparse::DeltaSnapshot<T>>> snaps(
         bases_.size());
     std::uint64_t max_epoch = 0;
-    bool all_epoch0 = true;
     for (const auto id : ids) {
       if (!snaps[id]) {
         snaps[id] = bases_[id]->snapshot();
         max_epoch = std::max(max_epoch, snaps[id]->epoch);
-        all_epoch0 &= snaps[id]->epoch == 0;
       }
     }
     const bool telemetry = util::metrics::enabled();
@@ -664,33 +643,13 @@ class Executor : public Service<S> {
     trace::ScopedSpan kernel_span(trace::Stage::kKernel, 0,
                                   trace::Tracer::instance().enabled());
     kernel_span.args(batch_flops, batch.size());
+    // One coalesced launch per base the batch touches, each against its
+    // pinned snapshot's patched view.
     ServeStats ss;
-    std::vector<sparse::Matrix<T>> rs;
-    if (!mixed) {
-      // Single-base batch: the plain coalesced path, bit for bit.
-      rs = run_batch(*snaps[ids.front()], qs, cfg_.strategy, &ss);
-    } else if (!all_epoch0 ||
-               (cfg_.strategy == sparse::MxmStrategy::kGustavson &&
-                stacked_cols_ > sparse::kMaxGustavsonWidth)) {
-      // Per-base fallback: either an involved base has been mutated (the
-      // construction-time stack is stale for it), or a forced dense
-      // scratch fits per base (checked at construction) but not stacked.
-      // Group the batch per base and run each group as its own coalesced
-      // launch — never restack, never widen the scratch.
-      std::vector<const Query<S>*> ptrs;
-      ptrs.reserve(qs.size());
-      for (const auto& q : qs) ptrs.push_back(&q);
-      rs = detail::run_batch_per_base<S>(
-          [&snaps](std::size_t id) -> const sparse::DeltaSnapshot<T>& {
-            return *snaps[id];
-          },
-          ptrs, ids, cfg_.strategy, &ss);
-    } else {
-      // Mixed-base batch, every involved base still at epoch 0: run on
-      // the stack cached at construction — ONE launch.
-      rs = run_batch_on_stack<S>(stack_, qs, ids, cfg_.strategy, &ss);
-    }
-    ss.epoch = std::max(ss.epoch, max_epoch);
+    auto rs = detail::run_batch_per_base<S>(
+        [&snaps](std::size_t id) { return snaps[id]->base_view(); }, qs, ids,
+        cfg_.strategy, &ss);
+    ss.epoch = max_epoch;
     kernel_span.finish();
     if (cache_.enabled()) {
       // Install every cacheable answer under the epoch the batch actually
@@ -798,8 +757,6 @@ class Executor : public Service<S> {
 
   std::vector<std::unique_ptr<sparse::DeltaBase<S>>> bases_;
   Config cfg_;
-  sparse::BaseStack<T> stack_;    ///< cached blkdiag stack (≥ 2 bases only)
-  sparse::Index stacked_cols_ = 0;
   AdmissionController ctrl_;      ///< adaptive admission (off by default)
   AdmissionController::Limits live_{};  ///< limits in force (under mu_)
   ResultCache<S> cache_;          ///< internally locked; off by default

@@ -34,9 +34,10 @@
 //
 // The 1-shard Router is the unsharded executor, verbatim: the map moves
 // the base through untouched, every query is single-shard pass-through,
-// and all launches run the same Executor/run_batch path — the single-base
-// Executor is the 1-shard instantiation of this stack, not a parallel
-// code path.
+// and all launches run the same Executor/run_batch path (each shard
+// executor owns one base, so every flushed batch is one launch) — the
+// single-base Executor is the 1-shard instantiation of this stack, not a
+// parallel code path.
 
 #include <chrono>
 #include <cstdint>
@@ -133,17 +134,7 @@ class Router : public Service<S> {
   /// admission. The lhs split — the only key realignment in the whole
   /// sharded path — happens now, once.
   std::size_t submit(TenantId tenant, Query<S> q) override {
-    if (q.lhs.ncols() != map_.nrows()) {
-      throw std::invalid_argument("Router: query inner dimension mismatch");
-    }
-    if (q.mask && (q.mask->nrows() != q.lhs.nrows() ||
-                   q.mask->ncols() != map_.ncols())) {
-      throw std::invalid_argument("Router: query mask shape mismatch");
-    }
-    if (q.carry && (q.carry->nrows() != q.lhs.nrows() ||
-                    q.carry->ncols() != map_.ncols())) {
-      throw std::invalid_argument("Router: query carry shape mismatch");
-    }
+    detail::validate_query<S>(map_.nrows(), map_.ncols(), q);
     // The router is the sampling point for the whole sharded stack: one
     // trace id covers the logical query, and every sub-query inherits it
     // (shard executors run with trace_sampling off).

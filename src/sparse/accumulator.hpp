@@ -368,16 +368,13 @@ struct MaskBitmapScratch {
 };
 
 /// One resolved mask row: a sorted column span, the sense, and (optionally)
-/// an armed bitmap for O(1) probes. Shared by every masked policy.
-/// `col_shift` supports two-sided batched blocks (multi-base serving):
-/// the mask's columns live in its query's LOCAL column space, so a stacked
-/// output column j probes at j − col_shift. Probes that fall outside the
-/// local space miss structurally (hit = false).
+/// an armed bitmap for O(1) probes. Shared by every masked policy. A probe
+/// beyond the armed bitmap's width (a mask narrower than a base whose key
+/// space grew after the mask was built) misses structurally (hit = false).
 struct MaskRow {
   std::span<const Index> cols;
   bool complement = false;
   const std::uint64_t* bits = nullptr;
-  Index col_shift = 0;  ///< stacked column j probes local column j − shift
   Index bit_limit = 0;  ///< armed bitmap width (meaningful iff bits != null)
   mutable bool merge = false;  ///< two-pointer merge probe (mid-density)
   mutable std::size_t cursor = 0;  ///< merge probe: first mask col ≥ last c
@@ -387,12 +384,9 @@ struct MaskRow {
 
   bool all_blocked() const { return !complement && cols.empty(); }
   bool all_allowed() const { return complement && cols.empty(); }
-  bool allowed(Index j) const {
-    const Index c = j - col_shift;
+  bool allowed(Index c) const {
     bool hit;
-    if (c < 0) {
-      hit = false;
-    } else if (bits) {
+    if (bits) {
       hit = c < bit_limit &&
             ((bits[static_cast<std::size_t>(c >> 6)] >> (c & 63)) & 1) != 0;
     } else if (merge) {
@@ -427,11 +421,10 @@ struct MaskRow {
 /// whole-row fast paths.
 template <typename U>
 MaskRow mask_row_lookup(const SparseView<U>& m, Index r, MaskDesc desc,
-                        std::size_t flops_hint, MaskBitmapScratch& scratch,
-                        Index col_shift = 0) {
+                        std::size_t flops_hint, MaskBitmapScratch& scratch) {
   const auto it = std::lower_bound(m.row_ids.begin(), m.row_ids.end(), r);
   if (it == m.row_ids.end() || *it != r) {
-    return {{}, desc.complement, nullptr, col_shift, 0};
+    return {{}, desc.complement, nullptr, 0};
   }
   const auto ri = static_cast<std::size_t>(it - m.row_ids.begin());
   const auto cols = m.row_cols(ri);
@@ -454,8 +447,7 @@ MaskRow mask_row_lookup(const SparseView<U>& m, Index r, MaskDesc desc,
         "mxm.probe.binary_rows", hm::Stability::kInvariant);
     (bits != nullptr ? bitmap_rows : merge ? merge_rows : binary_rows).inc();
   }
-  return {cols,      desc.complement, bits, col_shift,
-          bits ? m.ncols : Index{0}, merge};
+  return {cols, desc.complement, bits, bits ? m.ncols : Index{0}, merge};
 }
 
 /// No-mask policy: every column is allowed; compiles out of the driver.
@@ -485,35 +477,6 @@ struct StructuralMask {
   }
 };
 
-/// Batched (block-diagonal serving) mask: rows of the stacked operand are
-/// partitioned into K contiguous query blocks by `row_offsets` (size K+1),
-/// and block q probes the shared stacked mask under its own MaskDesc.
-/// Queries without masks contribute no mask rows under a complement sense —
-/// absent row ⇒ all allowed — so masked, complement-masked, and unmasked
-/// queries coalesce into ONE fused kernel launch.
-template <typename U>
-struct BatchMask {
-  static constexpr bool kMasked = true;
-  SparseView<U> m;
-  std::span<const Index> row_offsets;  ///< size K+1, ascending
-  std::span<const MaskDesc> descs;     ///< size K, one per query block
-  /// Two-sided blocks (multi-base serving): block q's mask columns are in
-  /// its base's local column space, so stacked column j probes j −
-  /// col_offsets[q]. Empty ⇒ one shared column space (no shift).
-  std::span<const Index> col_offsets{};
-
-  using Scratch = MaskBitmapScratch;
-  using Row = MaskRow;
-
-  Row row(Index r, std::size_t flops_hint, Scratch& s) const {
-    const auto q = static_cast<std::size_t>(
-        std::upper_bound(row_offsets.begin(), row_offsets.end(), r) -
-        row_offsets.begin() - 1);
-    const Index shift = col_offsets.empty() ? Index{0} : col_offsets[q];
-    return mask_row_lookup(m, r, descs[q], flops_hint, s, shift);
-  }
-};
-
 /// No-carry policy: accumulators start empty; compiles out of the driver.
 struct NoCarry {
   static constexpr bool kCarry = false;
@@ -538,22 +501,16 @@ struct NoCarry {
 /// Rows are partitioned into K contiguous query blocks by `row_offsets`
 /// (the serving batcher's layout); block q's rows seed from its own carry
 /// view, addressed in the query's local row space. A default (empty) view
-/// means no carry for that block. `col_offsets` (two-sided stacks) shifts
-/// block q's carry columns — stored in the query's LOCAL column space —
-/// into the stacked output column space.
+/// means no carry for that block.
 template <typename T>
 struct MultiCarry {
   static constexpr bool kCarry = true;
   std::span<const SparseView<T>> views;  ///< size K, one per query block
   std::span<const Index> row_offsets;    ///< size K+1, ascending
-  /// Per-block column shift: local carry column c seeds stacked column
-  /// c + col_offsets[q]. Empty ⇒ no shift (one shared column space).
-  std::span<const Index> col_offsets{};
 
   struct Row {
     std::span<const Index> cols;
     std::span<const T> vals;
-    Index col_shift = 0;
     bool empty() const { return cols.empty(); }
   };
 
@@ -566,27 +523,24 @@ struct MultiCarry {
     const auto it = std::lower_bound(v.row_ids.begin(), v.row_ids.end(), local);
     if (it == v.row_ids.end() || *it != local) return {};
     const auto ri = static_cast<std::size_t>(it - v.row_ids.begin());
-    return {v.row_cols(ri), v.row_vals(ri),
-            col_offsets.empty() ? Index{0} : col_offsets[q]};
+    return {v.row_cols(ri), v.row_vals(ri)};
   }
 };
 
-/// BatchMask without the stacked mask matrix: block q's rows probe query
-/// q's OWN mask view, addressed in the query's local row space (stacked
-/// row r ↦ local row r − row_offsets[q]). Unmasked queries pass a default
-/// (empty) view with a complement desc — every row absent ⇒ all allowed.
-/// This is the serving batcher's zero-copy mask path: semantics identical
-/// to BatchMask over concat-ed masks, with no mask entry ever copied.
+/// Batched (serving) mask: rows of the stacked operand are partitioned
+/// into K contiguous query blocks by `row_offsets` (size K+1), and block
+/// q's rows probe query q's OWN mask view under its own MaskDesc,
+/// addressed in the query's local row space (stacked row r ↦ local row
+/// r − row_offsets[q]). Unmasked queries pass a default (empty) view with
+/// a complement desc — every row absent ⇒ all allowed — so masked,
+/// complement-masked, and unmasked queries coalesce into ONE fused kernel
+/// launch with no mask entry ever copied.
 template <typename U>
 struct MultiMask {
   static constexpr bool kMasked = true;
   std::span<const SparseView<U>> views;  ///< size K, one per query block
   std::span<const Index> row_offsets;    ///< size K+1, ascending
   std::span<const MaskDesc> descs;       ///< size K
-  /// Per-block column shift for two-sided (multi-base) stacks: block q's
-  /// mask addresses its own base's column space, so stacked column j
-  /// probes local column j − col_offsets[q]. Empty ⇒ no shift.
-  std::span<const Index> col_offsets{};
 
   using Scratch = MaskBitmapScratch;
   using Row = MaskRow;
@@ -595,9 +549,8 @@ struct MultiMask {
     const auto q = static_cast<std::size_t>(
         std::upper_bound(row_offsets.begin(), row_offsets.end(), r) -
         row_offsets.begin() - 1);
-    const Index shift = col_offsets.empty() ? Index{0} : col_offsets[q];
     return mask_row_lookup(views[q], r - row_offsets[q], descs[q],
-                           flops_hint, s, shift);
+                           flops_hint, s);
   }
 };
 

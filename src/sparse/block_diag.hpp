@@ -3,10 +3,9 @@
 //
 // The serving engine (serve/) turns K concurrent queries against a shared
 // base matrix into ONE masked product: per-query left operands concatenate
-// into disjoint row ranges (concat_rows), per-query masks concatenate the
-// same way, and the stacked result splits back per query (split_rows).
-// block_diag additionally offsets columns, so queries against *different*
-// bases coalesce too:
+// into disjoint row ranges (concat_blocks / concat_rows) and the stacked
+// result splits back per query (split_rows). block_diag additionally
+// offsets columns:
 //
 //   block_diag(A_1..A_K) ⊕.⊗ concat_rows(B_1..B_K)  =  concat_rows(C_1..C_K)
 //
@@ -198,42 +197,6 @@ Matrix<T> block_diag(const std::vector<const Matrix<T>*>& parts,
   }
   return concat_blocks(nrows, ncols, std::move(blocks),
                        std::move(implicit_zero));
-}
-
-/// A block-diagonal stack of base matrices plus the offset bookkeeping the
-/// multi-base serving engine needs: base g occupies rows
-/// [row_offsets[g], row_offsets[g+1]) and columns
-/// [col_offsets[g], col_offsets[g+1]) of `stacked`. A query against base g
-/// coalesces by placing its lhs at column offset row_offsets[g] (lhs
-/// columns index base rows) and reading its result columns rebased by
-/// col_offsets[g].
-template <typename T>
-struct BaseStack {
-  Matrix<T> stacked;               ///< blkdiag(B_0 .. B_{G-1})
-  std::vector<Index> row_offsets;  ///< size G+1
-  std::vector<Index> col_offsets;  ///< size G+1
-};
-
-/// Stack bases block-diagonally, in the given order, returning the stack
-/// and both offset tables. Same deterministic parallel assembly as
-/// block_diag — this is block_diag with the offsets kept.
-template <typename T>
-BaseStack<T> stack_bases(std::span<const Matrix<T>* const> bases,
-                         T implicit_zero = T{}) {
-  BaseStack<T> s;
-  s.row_offsets.assign(1, 0);
-  s.col_offsets.assign(1, 0);
-  std::vector<Block<T>> blocks;
-  blocks.reserve(bases.size());
-  for (const auto* b : bases) {
-    if (b == nullptr) throw std::invalid_argument("stack_bases: null base");
-    blocks.push_back({b, s.row_offsets.back(), s.col_offsets.back()});
-    s.row_offsets.push_back(s.row_offsets.back() + b->nrows());
-    s.col_offsets.push_back(s.col_offsets.back() + b->ncols());
-  }
-  s.stacked = concat_blocks(s.row_offsets.back(), s.col_offsets.back(),
-                            std::move(blocks), std::move(implicit_zero));
-  return s;
 }
 
 /// Scatter — the inverse of concat_rows: split rows [offsets[q],

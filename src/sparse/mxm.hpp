@@ -221,7 +221,7 @@ std::vector<detail::RowSlice<typename S::value_type>> mxm_rows(
           // the accumulator's initial value, so the products below CONTINUE
           // its fold rather than regrouping it.
           for (std::size_t j = 0; j < crow.cols.size(); ++j) {
-            acc.accumulate(crow.cols[j] + crow.col_shift, crow.vals[j]);
+            acc.accumulate(crow.cols[j], crow.vals[j]);
           }
         }
 
@@ -457,73 +457,6 @@ Matrix<typename S::value_type> mxm_masked_fused(
   }
   const detail::StructuralMask<U> mask{M.view(), desc};
   return detail::mxm_dispatch<S>(A, B, strategy, mask, stats);
-}
-
-/// Batched masked product — the serving engine's ONE kernel entry. Rows of
-/// A are partitioned into K contiguous query blocks by `row_offsets` (size
-/// K+1, front() == 0, back() == nrows(A)); block q probes the shared
-/// stacked mask M under descs[q] (its own sense and probe). Blocks whose
-/// query has no mask simply have no mask rows and a complement sense, so
-/// every sense/probe mix coalesces into ONE launch, each row bit-identical
-/// to the per-query kernel's.
-///
-/// `col_offsets` selects the sidedness. Empty (the one-sided form): one
-/// shared output column space, M.ncols() == B's. Size K (the two-sided,
-/// multi-base form): block q's slice of B is a diagonal block starting at
-/// column col_offsets[q] (B is typically sparse::block_diag of per-query
-/// bases) while M keeps each block's mask rows in the block's LOCAL column
-/// space — a product landing at stacked column j probes M at (r, j −
-/// col_offsets[q]), and M's width is the widest local block, so no shape
-/// identity with B is required.
-///
-/// B arrives as a detail::BaseView so an epoch snapshot's patched rows
-/// (sparse/delta.hpp) serve through the very same entry; the Matrix
-/// wrappers below cover the immutable-base callers.
-template <semiring::Semiring S, typename U>
-Matrix<typename S::value_type> mxm_masked_batched(
-    const Matrix<typename S::value_type>& A,
-    const detail::BaseView<typename S::value_type>& B, const Matrix<U>& M,
-    std::span<const Index> row_offsets, std::span<const Index> col_offsets,
-    std::span<const MaskDesc> descs, MxmMaskStats* stats = nullptr,
-    MxmStrategy strategy = MxmStrategy::kAuto) {
-  if (M.nrows() != A.nrows() ||
-      (col_offsets.empty() && M.ncols() != B.ncols)) {
-    throw std::invalid_argument("mxm_masked_batched: mask shape mismatch");
-  }
-  if (row_offsets.size() != descs.size() + 1 || descs.empty() ||
-      (!col_offsets.empty() && col_offsets.size() != descs.size()) ||
-      row_offsets.front() != 0 || row_offsets.back() != A.nrows() ||
-      !std::is_sorted(row_offsets.begin(), row_offsets.end())) {
-    throw std::invalid_argument("mxm_masked_batched: bad block offsets");
-  }
-  const detail::BatchMask<U> mask{M.view(), row_offsets, descs, col_offsets};
-  return detail::mxm_dispatch<S>(A, B, strategy, mask, stats);
-}
-
-/// One-sided thin wrapper over the span-based core: one shared column
-/// space (empty col_offsets ⇒ zero shift everywhere).
-template <semiring::Semiring S, typename U>
-Matrix<typename S::value_type> mxm_masked_batched(
-    const Matrix<typename S::value_type>& A,
-    const Matrix<typename S::value_type>& B, const Matrix<U>& M,
-    std::span<const Index> row_offsets, std::span<const MaskDesc> descs,
-    MxmMaskStats* stats = nullptr, MxmStrategy strategy = MxmStrategy::kAuto) {
-  const detail::BaseView<typename S::value_type> bv(B);
-  return mxm_masked_batched<S>(A, bv, M, row_offsets, {}, descs, stats,
-                               strategy);
-}
-
-/// Two-sided thin wrapper over the span-based core (immutable base).
-template <semiring::Semiring S, typename U>
-Matrix<typename S::value_type> mxm_masked_batched(
-    const Matrix<typename S::value_type>& A,
-    const Matrix<typename S::value_type>& B, const Matrix<U>& M,
-    std::span<const Index> row_offsets, std::span<const Index> col_offsets,
-    std::span<const MaskDesc> descs, MxmMaskStats* stats = nullptr,
-    MxmStrategy strategy = MxmStrategy::kAuto) {
-  const detail::BaseView<typename S::value_type> bv(B);
-  return mxm_masked_batched<S>(A, bv, M, row_offsets, col_offsets, descs,
-                               stats, strategy);
 }
 
 }  // namespace hyperspace::sparse

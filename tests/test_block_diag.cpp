@@ -212,26 +212,4 @@ TEST(ConcatBlocks, ManyZeroRowBlocksAtSharedOffsetsSortStably) {
                std::invalid_argument);
 }
 
-TEST(StackBases, OffsetsAndBlockDiagPlacement) {
-  const auto b0 = random_matrix(4, 3, 8, 1);
-  const auto b1 = random_matrix(2, 5, 6, 2);
-  const auto b2 = Matrix<double>(3, 2);  // empty base
-  const auto st =
-      stack_bases<double>(std::vector<const Matrix<double>*>{&b0, &b1, &b2});
-  EXPECT_EQ(st.row_offsets, (std::vector<Index>{0, 4, 6, 9}));
-  EXPECT_EQ(st.col_offsets, (std::vector<Index>{0, 3, 8, 10}));
-  EXPECT_EQ(st.stacked.nrows(), 9);
-  EXPECT_EQ(st.stacked.ncols(), 10);
-  EXPECT_EQ(st.stacked.nnz(), b0.nnz() + b1.nnz());
-  // Spot-check placement: every b1 entry lands offset by (4, 3).
-  const auto v = b1.view();
-  for (std::size_t ri = 0; ri < v.row_ids.size(); ++ri) {
-    const auto rc = v.row_cols(ri);
-    const auto rv = v.row_vals(ri);
-    for (std::size_t j = 0; j < rc.size(); ++j) {
-      EXPECT_EQ(st.stacked.get(v.row_ids[ri] + 4, rc[j] + 3), rv[j]);
-    }
-  }
-}
-
 }  // namespace

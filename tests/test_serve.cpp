@@ -1,4 +1,4 @@
-// Tests for the batched query serving engine (serve/): block-diagonal
+// Tests for the batched query serving engine (serve/): row-stacked
 // coalescing must be bit-identical to per-query execution for every
 // semiring family, mask sense mix, ragged batch shape, strategy, and
 // thread count — batching may never change an answer. Also covers the
@@ -190,20 +190,9 @@ TEST(ServeBatch, ShapeMismatchesThrow) {
       std::invalid_argument);
 }
 
-TEST(MxmMaskedBatched, BadOffsetsThrow) {
-  const auto a = random_matrix<S>(4, 4, 8, 1, dbl_entry);
-  const auto m = random_matrix<S>(4, 4, 8, 2, dbl_entry);
-  const std::vector<MaskDesc> descs(2);
-  EXPECT_THROW(mxm_masked_batched<S>(a, a, m, std::vector<Index>{0, 2, 3},
-                                     descs),
-               std::invalid_argument);
-  EXPECT_THROW(mxm_masked_batched<S>(a, a, m, std::vector<Index>{0, 3, 2, 4},
-                                     std::vector<MaskDesc>(3)),
-               std::invalid_argument);
-}
-
 // --------------------------------------------------------------------------
-// Multi-base coalescing: queries against different bases share one launch.
+// Multi-base batches: queries against different bases coalesce per base,
+// one launch per base touched.
 
 /// Ragged queries against one (nrows × ncols) base: unmasked, plain- and
 /// complement-masked, select, and empty.
@@ -228,7 +217,7 @@ std::vector<serve::Query<Sr>> base_queries(Index nrows, Index ncols,
 template <semiring::Semiring Sr, typename Gen>
 void expect_multi_batched_equals_sequential(std::uint64_t seed, Gen&& entry) {
   using T = typename Sr::value_type;
-  // Bases of different shapes AND column spaces — the two-sided case.
+  // Bases of different shapes AND column spaces.
   const auto b0 = random_matrix<Sr>(48, 48, 280, seed, entry);
   const auto b1 = random_matrix<Sr>(32, 20, 180, seed + 50, entry);
   const auto b2 = random_matrix<Sr>(16, 64, 100, seed + 90, entry);
@@ -255,13 +244,19 @@ void expect_multi_batched_equals_sequential(std::uint64_t seed, Gen&& entry) {
     const auto batched = serve::run_batch_multi<Sr>(
         bases, qs, ids, MxmStrategy::kAuto, &stats);
     ASSERT_EQ(batched.size(), qs.size());
+    MxmMaskStats want;
     for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i]))
+      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i],
+                                              MxmStrategy::kAuto, &want))
           << "threads=" << nt << " query=" << i << " base=" << ids[i];
     }
     EXPECT_EQ(stats.queries, qs.size());
-    EXPECT_EQ(stats.kernel_launches, 1u);
-    EXPECT_EQ(stats.launches_saved, qs.size() - 1);
+    EXPECT_EQ(stats.kernel_launches, bases.size());  // one per base
+    EXPECT_EQ(stats.launches_saved, qs.size() - bases.size());
+    // Exact per-flop accounting across bases: the batch keeps and skips
+    // exactly the products its queries keep and skip alone.
+    EXPECT_EQ(stats.flops_kept, want.flops_kept) << "threads=" << nt;
+    EXPECT_EQ(stats.flops_skipped, want.flops_skipped) << "threads=" << nt;
   }
 }
 
@@ -299,8 +294,7 @@ TEST(ServeMultiBase, EveryStrategyBitIdentical) {
     qs.push_back(std::move(q));
     ids.push_back(1);
   }
-  // kGustavson included: both bases fit a dense scratch, and so does the
-  // stacked column space — the coalesced path, not the per-base fallback.
+  // kGustavson included: both bases fit a dense scratch.
   for (const auto strat : {MxmStrategy::kGustavson, MxmStrategy::kHash,
                            MxmStrategy::kSorted}) {
     const auto batched = serve::run_batch_multi<S>(bases, qs, ids, strat);
@@ -328,8 +322,9 @@ TEST(ServeMultiBase, SingleBaseIdsDelegateToSingleBasePath) {
 }
 
 TEST(ServeMultiBase, HypersparseBasesCoalesce) {
-  // Stacked column space far beyond the dense-accumulator cap: the
-  // coalesced product must route through the flat hash and stay exact.
+  // One base's column space far beyond the dense-accumulator cap: its
+  // launch must route through the flat hash, the other's through the
+  // dense scratch, and both stay exact.
   const Index huge = Index{1} << 30;
   const auto b0 = random_matrix<S>(64, huge, 120, 91, dbl_entry);
   const auto b1 = random_matrix<S>(32, 32, 150, 92, dbl_entry);
@@ -353,8 +348,8 @@ TEST(ServeMultiBase, HypersparseBasesCoalesce) {
 }
 
 TEST(ServeMultiBase, GustavsonTooWideForStackFallsBackPerBase) {
-  // Each base alone fits the dense scratch, the stack would not: forced
-  // kGustavson must fall back to one batch per base and stay exact.
+  // Each base alone fits the dense scratch, two side by side would not:
+  // forced kGustavson runs one batch per base and stays exact.
   const Index wide = (Index{1} << 23) + 8;  // 2 × wide > kMaxGustavsonWidth
   const auto b0 = random_matrix<S>(16, wide, 60, 95, dbl_entry);
   const auto b1 = random_matrix<S>(16, wide, 60, 96, dbl_entry);
@@ -390,66 +385,6 @@ TEST(ServeMultiBase, BadBaseIdsThrow) {
   EXPECT_THROW(serve::run_batch_multi<S>(bases, qs,
                                          std::vector<std::size_t>{}),
                std::invalid_argument);
-}
-
-TEST(MxmMaskedBatched, TwoSidedBlocksMatchPerBlockMasked) {
-  // The public two-sided kernel: stacked lhs against block_diag(B0, B1),
-  // with each block's mask kept in its base's LOCAL column space.
-  const Index n0 = 24, c0 = 20, n1 = 16, c1 = 40;
-  const auto b0 = random_matrix<S>(n0, c0, 120, 111, dbl_entry);
-  const auto b1 = random_matrix<S>(n1, c1, 140, 112, dbl_entry);
-  const auto a0 = random_matrix<S>(5, n0, 30, 113, dbl_entry);
-  const auto a1 = random_matrix<S>(4, n1, 24, 114, dbl_entry);
-  const auto m0 = random_matrix<S>(5, c0, 40, 115, dbl_entry);
-  const auto m1 = random_matrix<S>(4, c1, 30, 116, dbl_entry);
-
-  const auto stack =
-      sparse::stack_bases<double>(std::vector<const Matrix<double>*>{&b0, &b1});
-  // Stacked lhs: block q's columns shift into base q's row band.
-  const auto A = sparse::concat_blocks<double>(
-      9, stack.stacked.nrows(),
-      {{&a0, 0, stack.row_offsets[0]}, {&a1, 5, stack.row_offsets[1]}});
-  // Stacked mask: per-block rows, columns left LOCAL (ncols = widest).
-  std::vector<Triple<double>> mt;
-  for (const auto& t : m0.to_triples()) mt.push_back(t);
-  for (const auto& t : m1.to_triples()) mt.push_back({t.row + 5, t.col, t.val});
-  const auto M = Matrix<double>::from_canonical_triples(9, c1, mt);
-
-  const std::vector<Index> row_offsets{0, 5, 9};
-  const std::vector<Index> col_offsets{stack.col_offsets[0],
-                                       stack.col_offsets[1]};
-  const std::vector<MaskDesc> descs{{}, {.complement = true}};
-
-  for (const int nt : {1, 8}) {
-    ThreadGuard guard(nt);
-    MxmMaskStats ms;
-    const auto C = mxm_masked_batched<S>(A, stack.stacked, M, row_offsets,
-                                         col_offsets, descs, &ms);
-    const auto c0_want = mxm_masked<S>(a0, b0, m0, descs[0]);
-    const auto c1_want = mxm_masked<S>(a1, b1, m1, descs[1]);
-    // Expected stack: per-block results at their (row, col) offsets.
-    const auto want = sparse::concat_blocks<double>(
-        9, stack.col_offsets.back(),
-        {{&c0_want, 0, col_offsets[0]}, {&c1_want, 5, col_offsets[1]}});
-    EXPECT_EQ(C, want) << "threads=" << nt;
-    // Exact per-flop accounting survives the two-sided probe.
-    MxmMaskStats ms0, ms1;
-    (void)mxm_masked<S>(a0, b0, m0, descs[0], &ms0);
-    (void)mxm_masked<S>(a1, b1, m1, descs[1], &ms1);
-    EXPECT_EQ(ms.flops_kept, ms0.flops_kept + ms1.flops_kept);
-    EXPECT_EQ(ms.flops_skipped, ms0.flops_skipped + ms1.flops_skipped);
-  }
-}
-
-TEST(MxmMaskedBatched, TwoSidedBadOffsetsThrow) {
-  const auto a = random_matrix<S>(4, 4, 8, 121, dbl_entry);
-  const auto m = random_matrix<S>(4, 4, 8, 122, dbl_entry);
-  const std::vector<MaskDesc> descs(2);
-  // col_offsets size must match descs.
-  EXPECT_THROW(
-      mxm_masked_batched<S>(a, a, m, std::vector<Index>{0, 2, 4},
-                            std::vector<Index>{0}, descs),
-      std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------
@@ -683,8 +618,8 @@ TEST(ArrayMultiBatch, MatchesSequentialAcrossBases) {
             : array::mtimes(qs[i].q.lhs, base);
     EXPECT_EQ(rs[i], want) << "query=" << i;
   }
-  EXPECT_EQ(st.kernel_launches, 1u);  // one launch across BOTH bases
-  EXPECT_EQ(st.launches_saved, 3u);
+  EXPECT_EQ(st.kernel_launches, 2u);  // one launch per base
+  EXPECT_EQ(st.launches_saved, 2u);
 }
 
 TEST(PlannedMultiBatch, RoutesCoalescesAndFallsBackPerBase) {
@@ -714,11 +649,11 @@ TEST(PlannedMultiBatch, RoutesCoalescesAndFallsBackPerBase) {
                      : db::planned_mtimes(qs[i].q.lhs, base);
     EXPECT_EQ(rs[i], want) << "query=" << i;
   }
-  EXPECT_EQ(ps.batches, 1);
-  EXPECT_EQ(ps.queries_batched, 2);  // one per base, ONE cross-base launch
+  EXPECT_EQ(ps.batches, 2);  // one coalesced launch per base
+  EXPECT_EQ(ps.queries_batched, 2);
   EXPECT_EQ(ps.queries_fallback, 1);
   EXPECT_EQ(ps.products_skipped, 1);
-  EXPECT_EQ(ss.kernel_launches, 1u);
+  EXPECT_EQ(ss.kernel_launches, 2u);
 }
 
 TEST(PlannedBatch, EmptyQueryListIsANoOp) {

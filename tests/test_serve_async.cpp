@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
@@ -409,13 +411,60 @@ TEST(Executor, MultiBaseSubmitMatchesPerBaseSingles) {
     tickets.push_back(ex.submit(0, b, qs.back()));
   }
   ex.flush();
-  EXPECT_EQ(ex.stats().kernel_launches, 1u);  // one cross-base launch
+  EXPECT_EQ(ex.stats().kernel_launches, 2u);  // one launch per base
   for (std::size_t i = 0; i < qs.size(); ++i) {
     EXPECT_EQ(ex.wait(tickets[i]),
               serve::run_single(base_of[i] == 0 ? b0 : b1, qs[i]))
         << "query=" << i;
   }
   EXPECT_THROW(ex.submit(0, 2, qs.front()), std::out_of_range);
+
+  // Mutate base 1, then run a second mixed round: each batch launches
+  // once per base against the snapshots pinned at flush, and every answer
+  // matches a from-scratch rebuild of the mutated base.
+  sparse::UpdateBatch<double> ops;
+  ops.push_back(sparse::Update<double>::assign(0, 5, 2.5));
+  ops.push_back(sparse::Update<double>::assign(19, 47, -1.25));
+  for (const auto& t : b1.to_triples()) {
+    if (t.row % 3 == 0) {
+      ops.push_back(sparse::Update<double>::erased(t.row, t.col));
+    }
+  }
+  EXPECT_EQ(ex.mutate(0, 1, ops), 1u);
+  std::map<std::pair<Index, Index>, double> cells;
+  for (const auto& t : b1.to_triples()) cells[{t.row, t.col}] = t.val;
+  for (const auto& u : ops) {
+    if (u.erase) {
+      cells.erase({u.row, u.col});
+    } else {
+      cells[{u.row, u.col}] = u.val;
+    }
+  }
+  std::vector<Triple<double>> rebuilt;
+  for (const auto& [rc, v] : cells) rebuilt.push_back({rc.first, rc.second, v});
+  const auto b1_mutated =
+      Matrix<double>::from_triples<S>(20, 48, std::move(rebuilt));
+  std::size_t changed = 0;
+  for (std::size_t i = 1; i < qs.size(); i += 2) {
+    changed += !(serve::run_single(b1, qs[i]) ==
+                 serve::run_single(b1_mutated, qs[i]));
+  }
+  ASSERT_GT(changed, 0u);  // the mutation is visible to base 1's queries
+  for (const int nt : {1, 4}) {
+    ThreadGuard guard(nt);
+    const auto launches = ex.stats().kernel_launches;
+    tickets.clear();
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      tickets.push_back(ex.submit(0, base_of[i], qs[i]));
+    }
+    ex.flush();
+    EXPECT_EQ(ex.stats().kernel_launches - launches, 2u) << "threads=" << nt;
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      EXPECT_EQ(ex.wait(tickets[i]),
+                serve::run_single(base_of[i] == 0 ? b0 : b1_mutated, qs[i]))
+          << "threads=" << nt << " query=" << i;
+    }
+  }
 }
 
 TEST(Executor, GustavsonTooWideBaseRejectedAtConstruction) {
