@@ -7,8 +7,8 @@
 #     probe)
 #   BENCH_serve.json    — serving-throughput sweep (K=1/8/64 queries,
 #     batched block-diagonal serving vs per-query dispatch, sync + async
-#     executor paths, multi-base cross-base vs per-base dispatch, and the
-#     result-cache on/off Zipf-repeat rows)
+#     executor paths, one run_batch per base vs per-query dispatch over
+#     four bases, and the result-cache on/off Zipf-repeat rows)
 # Used locally via the `run_benches` CMake target and in CI, where the
 # JSONs are uploaded as artifacts to track the perf trajectory across PRs.
 # Schemas and row-reading guide: docs/BENCHMARKS.md.

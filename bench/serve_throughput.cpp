@@ -220,10 +220,10 @@ BENCHMARK(bm_serve_executor_async)->Arg(8)->Arg(64);
 
 void bm_serve_multibase(benchmark::State& state) {
   // K point queries spread round-robin over G=4 bases. Arg1 selects the
-  // dispatch: 0 = run_batch_multi, one coalesced launch per base (G
-  // launches over pointer spans — the executor's flush path), 1 =
-  // per-query dispatch (K launches). The gap is what per-base coalescing
-  // buys once per-launch costs dominate.
+  // dispatch: 0 = one coalesced run_batch per base (G launches over
+  // pointer groups built once, outside the timed loop — what a caller with
+  // several bases does), 1 = per-query dispatch (K launches). The gap is
+  // what per-base coalescing buys once per-launch costs dominate.
   const int k = static_cast<int>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
   const Index n = 2048;
@@ -233,19 +233,21 @@ void bm_serve_multibase(benchmark::State& state) {
     bases.push_back(
         er_matrix(n, static_cast<std::size_t>(n) * 16, 10 + g));
   }
-  std::vector<const sparse::Matrix<double>*> bptrs;
-  for (const auto& b : bases) bptrs.push_back(&b);
   const auto qs = make_queries(0, k, n, 5);
-  std::vector<std::size_t> ids(qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) ids[i] = i % kBases;
+  std::vector<std::vector<const serve::Query<S>*>> groups(kBases);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    groups[i % kBases].push_back(&qs[i]);
+  }
   serve::ServeStats stats;
   for (auto _ : state) {
     if (mode == 0) {
-      benchmark::DoNotOptimize(serve::run_batch_multi<S>(
-          bptrs, qs, ids, sparse::MxmStrategy::kAuto, &stats));
+      for (std::size_t g = 0; g < kBases; ++g) {
+        benchmark::DoNotOptimize(serve::run_batch<S>(
+            bases[g], groups[g], sparse::MxmStrategy::kAuto, &stats));
+      }
     } else {
       for (std::size_t i = 0; i < qs.size(); ++i) {
-        benchmark::DoNotOptimize(serve::run_single(bases[ids[i]], qs[i]));
+        benchmark::DoNotOptimize(serve::run_single(bases[i % kBases], qs[i]));
       }
     }
   }

@@ -9,7 +9,9 @@
 // within the base's row keys. mtimes_batched realigns every operand the
 // same way per-query mtimes/mtimes_masked would, so batched results are
 // entry-identical to sequential execution; queries that fail the condition
-// belong to the planner's per-query fallback (db::planned_batch).
+// belong to the planner's per-query fallback (db::planned_batch). Every
+// call serves one base array: mtimes_batched is one serve::run_batch
+// launch, and a caller with several bases makes one call per base.
 
 #include <optional>
 #include <span>
@@ -41,12 +43,11 @@ bool batchable(const AssocArray<S>& base, const BatchQuery<S>& q) {
 
 namespace detail {
 
-/// The one BatchQuery → serve::Query realignment, shared by every
-/// array-level batch path (mtimes_batched, mtimes_batched_multi,
-/// ShardedServer::submit): the realignments per-query mtimes /
-/// mtimes_masked would perform, in the coordinates of a base with key
-/// spaces (rows, cols). Throws unless the query is batchable against
-/// those row keys.
+/// The one BatchQuery → serve::Query realignment, shared by both
+/// array-level batch paths (mtimes_batched, ShardedServer::submit): the
+/// realignments per-query mtimes / mtimes_masked would perform, in the
+/// coordinates of a base with key spaces (rows, cols). Throws unless the
+/// query is batchable against those row keys.
 template <semiring::Semiring S>
 serve::Query<S> realign_query(const KeySet& rows, const KeySet& cols,
                               const BatchQuery<S>& q) {
@@ -64,38 +65,6 @@ serve::Query<S> realign_query(const KeySet& rows, const KeySet& cols,
   return sq;
 }
 
-/// Realign every query (queries[i] against *bases[ids[i]]), run them
-/// through serve::run_batch_multi — one coalesced launch per base touched
-/// — and label each result with its lhs row keys and its base's col keys.
-template <semiring::Semiring S>
-std::vector<AssocArray<S>> run_realigned(
-    std::span<const AssocArray<S>* const> bases,
-    std::span<const BatchQuery<S>* const> queries,
-    std::span<const std::size_t> ids, serve::ServeStats* stats) {
-  using T = typename S::value_type;
-  std::vector<serve::Query<S>> qs;
-  qs.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (ids[i] >= bases.size() || bases[ids[i]] == nullptr) {
-      throw std::invalid_argument("array batch: bad base index");
-    }
-    const auto& base = *bases[ids[i]];
-    qs.push_back(realign_query(base.row_keys(), base.col_keys(), *queries[i]));
-  }
-  std::vector<const sparse::Matrix<T>*> mats;
-  mats.reserve(bases.size());
-  for (const auto* b : bases) mats.push_back(b ? &b->matrix() : nullptr);
-  auto rs = serve::run_batch_multi<S>(mats, qs, ids,
-                                      sparse::MxmStrategy::kAuto, stats);
-  std::vector<AssocArray<S>> out;
-  out.reserve(rs.size());
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    out.emplace_back(queries[i]->lhs.row_keys(), bases[ids[i]]->col_keys(),
-                     std::move(rs[i]));
-  }
-  return out;
-}
-
 }  // namespace detail
 
 /// Execute every query against `base` as one coalesced launch. All queries
@@ -108,9 +77,20 @@ std::vector<AssocArray<S>> mtimes_batched(
     const AssocArray<S>& base,
     std::span<const BatchQuery<S>* const> queries,
     serve::ServeStats* stats = nullptr) {
-  const AssocArray<S>* b = &base;
-  const std::vector<std::size_t> ids(queries.size(), 0);
-  return detail::run_realigned<S>(std::span(&b, 1), queries, ids, stats);
+  std::vector<serve::Query<S>> qs;
+  qs.reserve(queries.size());
+  for (const auto* q : queries) {
+    qs.push_back(detail::realign_query(base.row_keys(), base.col_keys(), *q));
+  }
+  auto rs = serve::run_batch<S>(base.matrix(), qs, sparse::MxmStrategy::kAuto,
+                                stats);
+  std::vector<AssocArray<S>> out;
+  out.reserve(rs.size());
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    out.emplace_back(queries[i]->lhs.row_keys(), base.col_keys(),
+                     std::move(rs[i]));
+  }
+  return out;
 }
 
 template <semiring::Semiring S>
@@ -121,47 +101,6 @@ std::vector<AssocArray<S>> mtimes_batched(
   ptrs.reserve(queries.size());
   for (const auto& q : queries) ptrs.push_back(&q);
   return mtimes_batched<S>(base, ptrs, stats);
-}
-
-/// A BatchQuery routed at one of several base arrays (multi-base serving).
-template <semiring::Semiring S>
-struct MultiBatchQuery {
-  std::size_t base = 0;  ///< index into the bases list
-  BatchQuery<S> q;
-};
-
-/// Execute queries against SEVERAL bases: each base's queries coalesce
-/// into one launch (serve::run_batch_multi groups them per base). Every
-/// query must be batchable() against ITS base; each result is
-/// entry-identical to mtimes / mtimes_masked against that base alone.
-template <semiring::Semiring S>
-std::vector<AssocArray<S>> mtimes_batched_multi(
-    std::span<const AssocArray<S>* const> bases,
-    std::span<const MultiBatchQuery<S>* const> queries,
-    serve::ServeStats* stats = nullptr) {
-  std::vector<const BatchQuery<S>*> qs;
-  std::vector<std::size_t> ids;
-  qs.reserve(queries.size());
-  ids.reserve(queries.size());
-  for (const auto* mq : queries) {
-    qs.push_back(&mq->q);
-    ids.push_back(mq->base);
-  }
-  return detail::run_realigned<S>(bases, qs, ids, stats);
-}
-
-template <semiring::Semiring S>
-std::vector<AssocArray<S>> mtimes_batched_multi(
-    const std::vector<const AssocArray<S>*>& bases,
-    const std::vector<MultiBatchQuery<S>>& queries,
-    serve::ServeStats* stats = nullptr) {
-  std::vector<const MultiBatchQuery<S>*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const auto& q : queries) ptrs.push_back(&q);
-  return mtimes_batched_multi<S>(
-      std::span<const AssocArray<S>* const>(bases.data(), bases.size()),
-      std::span<const MultiBatchQuery<S>* const>(ptrs.data(), ptrs.size()),
-      stats);
 }
 
 }  // namespace hyperspace::array

@@ -7,11 +7,12 @@
 //  row(A) ∩ row(B) = ∅ (etc.), the result is 0 and need not be computed.
 //
 // The planner here evaluates composite expressions over associative arrays
-// with those prechecks, recording how much work was skipped.
+// with those prechecks, recording how much work was skipped. Its batch
+// planners (planned_batch, planned_sharded_batch) each serve one base array
+// through one route-and-fallback loop (detail::route_batch).
 
 #include <cstdint>
 #include <cstddef>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -155,25 +156,22 @@ struct Coalesced {
   serve::ServeStats serve;                    ///< the launches' accounting
 };
 
-/// The one route-and-fallback loop behind every batch planner. Query i
-/// (`query_of(i)`, against `base_of(i)`) takes route_batch_query's
-/// prechecks: an annihilated query's result stays the empty array, exactly
-/// as planned_mtimes returns it; a fallback runs planned, per query, right
-/// here; the coalescible survivors go to `launch(idx)` as one group
-/// (indices ascending), whose results land back in query order. The
-/// coalesced-group PlanStats accounting lives here, once.
-template <semiring::Semiring S, typename BaseOf, typename QueryOf,
-          typename Launch>
-std::vector<array::AssocArray<S>> route_batch(std::size_t n, BaseOf&& base_of,
-                                              QueryOf&& query_of,
-                                              Launch&& launch,
-                                              PlanStats* stats,
-                                              serve::ServeStats* serve_stats) {
-  std::vector<array::AssocArray<S>> out(n);
+/// The one route-and-fallback loop behind both batch planners. Every query
+/// takes route_batch_query's prechecks against `base`: an annihilated
+/// query's result stays the empty array, exactly as planned_mtimes returns
+/// it; a fallback runs planned, per query, right here; the coalescible
+/// survivors go to `launch(idx)` as one group (indices ascending), whose
+/// results land back in query order. The coalesced-group PlanStats
+/// accounting lives here, once.
+template <semiring::Semiring S, typename Launch>
+std::vector<array::AssocArray<S>> route_batch(
+    const array::AssocArray<S>& base,
+    const std::vector<array::BatchQuery<S>>& queries, Launch&& launch,
+    PlanStats* stats, serve::ServeStats* serve_stats) {
+  std::vector<array::AssocArray<S>> out(queries.size());
   std::vector<std::size_t> coalesce;
-  for (std::size_t i = 0; i < n; ++i) {
-    const array::AssocArray<S>& base = base_of(i);
-    const array::BatchQuery<S>& q = query_of(i);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const array::BatchQuery<S>& q = queries[i];
     switch (route_batch_query(base, q, stats)) {
       case BatchRoute::kAnnihilated:
         break;
@@ -226,9 +224,7 @@ std::vector<array::AssocArray<S>> planned_batch(
     const std::vector<array::BatchQuery<S>>& queries,
     PlanStats* stats = nullptr, serve::ServeStats* serve_stats = nullptr) {
   return detail::route_batch<S>(
-      queries.size(),
-      [&](std::size_t) -> const array::AssocArray<S>& { return base; },
-      [&](std::size_t i) -> const array::BatchQuery<S>& { return queries[i]; },
+      base, queries,
       [&](const std::vector<std::size_t>& idx) {
         // Pointers, not copies: the coalesced subset is consulted in place.
         std::vector<const array::BatchQuery<S>*> group;
@@ -267,9 +263,7 @@ std::vector<array::AssocArray<S>> planned_sharded_batch(
         "planned_sharded_batch: server/base key spaces differ");
   }
   return detail::route_batch<S>(
-      queries.size(),
-      [&](std::size_t) -> const array::AssocArray<S>& { return base; },
-      [&](std::size_t i) -> const array::BatchQuery<S>& { return queries[i]; },
+      base, queries,
       [&](const std::vector<std::size_t>& idx) {
         const auto before = server.router_stats();
         const auto sbefore = server.stats();
@@ -305,51 +299,6 @@ std::vector<array::AssocArray<S>> planned_sharded_batch(
       stats, serve_stats);
 }
 
-/// Multi-base planned serving: K concurrent queries, each routed at one of
-/// SEVERAL base arrays. Every query gets the same §IV inner-key and §V-B
-/// mask-annihilation prechecks against its own base; the survivors split:
-///
-///   * batchable against their base — coalesced per base, one launch per
-///     base touched (array::mtimes_batched_multi);
-///   * incompatible key spaces — per-query planned fallback against their
-///     base, exactly as the single-base router falls back.
-///
-/// Results are returned in query order, entry-identical to routing each
-/// query through planned_mtimes(_masked) against its base alone.
-template <semiring::Semiring S>
-std::vector<array::AssocArray<S>> planned_multi_batch(
-    const std::vector<const array::AssocArray<S>*>& bases,
-    const std::vector<array::MultiBatchQuery<S>>& queries,
-    PlanStats* stats = nullptr, serve::ServeStats* serve_stats = nullptr) {
-  return detail::route_batch<S>(
-      queries.size(),
-      [&](std::size_t i) -> const array::AssocArray<S>& {
-        const auto b = queries[i].base;
-        if (b >= bases.size() || bases[b] == nullptr) {
-          throw std::invalid_argument("planned_multi_batch: bad base index");
-        }
-        return *bases[b];
-      },
-      [&](std::size_t i) -> const array::BatchQuery<S>& {
-        return queries[i].q;
-      },
-      [&](const std::vector<std::size_t>& idx) {
-        std::vector<const array::MultiBatchQuery<S>*> group;
-        group.reserve(idx.size());
-        for (const auto i : idx) group.push_back(&queries[i]);
-        detail::Coalesced<S> c;
-        c.results = array::mtimes_batched_multi<S>(
-            std::span<const array::AssocArray<S>* const>(bases.data(),
-                                                         bases.size()),
-            std::span<const array::MultiBatchQuery<S>* const>(group.data(),
-                                                              group.size()),
-            &c.serve);
-        c.launches = static_cast<int>(c.serve.kernel_launches);
-        return c;
-      },
-      stats, serve_stats);
-}
-
 /// Chain product A1 ⊕.⊗ A2 ⊕.⊗ ... with early exit: the first disjoint
 /// inner key space annihilates the whole chain (associativity, Table II).
 template <semiring::Semiring S>
@@ -359,9 +308,9 @@ array::AssocArray<S> planned_chain(
   if (factors.empty()) return array::AssocArray<S>();
   for (std::size_t i = 0; i + 1 < factors.size(); ++i) {
     if (array::disjoint(factors[i].col(), factors[i + 1].row())) {
+      // The precheck runs before any product, so every link is skipped.
       if (stats) {
-        stats->products_skipped +=
-            static_cast<int>(factors.size()) - 1 - stats->products_evaluated;
+        stats->products_skipped += static_cast<int>(factors.size()) - 1;
       }
       return array::AssocArray<S>();
     }

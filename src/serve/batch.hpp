@@ -16,8 +16,8 @@
 //   scatter — per-query results assemble straight from the kernel's row
 //             slices (detail::run_stacked).
 //
-// Queries routed at several bases (run_batch_multi, the Executor) group
-// per base: one coalesced launch per base a batch touches.
+// Every entry point serves one base: a caller with several bases makes one
+// run_batch call (or runs one Executor) per base.
 //
 // Determinism contract: the driver computes each stacked row with exactly
 // the accumulation the per-query kernel would run (same B rows, same mask
@@ -176,12 +176,6 @@ void validate_query(sparse::Index base_nrows, sparse::Index base_ncols,
                   q.carry->ncols() != base_ncols)) {
     throw std::invalid_argument("serve: query carry shape mismatch");
   }
-}
-
-template <semiring::Semiring S>
-void validate_query(const sparse::Matrix<typename S::value_type>& base,
-                    const Query<S>& q) {
-  validate_query<S>(base.nrows(), base.ncols(), q);
 }
 
 /// The coalesced core behind run_batch (and run_single's seeded path): run
@@ -363,10 +357,10 @@ sparse::Matrix<typename S::value_type> run_single(
 /// Execute every query against `base` as one coalesced launch; results are
 /// returned in submission order, each bit-identical to run_single's. The
 /// BaseView span-of-pointers overload is the core — callers that route a
-/// larger query list (the per-base grouping, db::planned_batch via the
-/// array layer) coalesce a subset without copying any operand, and a delta
-/// snapshot's patched base (DeltaSnapshot::base_view) serves through the
-/// identical path.
+/// larger query list (db::planned_batch via the array layer) coalesce a
+/// subset without copying any operand, and a delta snapshot's patched base
+/// (DeltaSnapshot::base_view — the Executor's flush path) serves through
+/// the identical path.
 template <semiring::Semiring S>
 std::vector<sparse::Matrix<typename S::value_type>> run_batch(
     const sparse::detail::BaseView<typename S::value_type>& base,
@@ -436,75 +430,6 @@ std::vector<sparse::Matrix<typename S::value_type>> run_batch(
   ptrs.reserve(queries.size());
   for (const auto& q : queries) ptrs.push_back(&q);
   return run_batch<S>(base, ptrs, strategy, stats);
-}
-
-namespace detail {
-
-/// The one launch path for queries routed at several bases, shared by
-/// run_batch_multi and the Executor: group (queries, ids) per base and run
-/// each group as its own coalesced run_batch launch — one launch per base
-/// touched, no operand copied (groups are pointer spans). Results return
-/// in input order. `base_of(id)` resolves a base id to its matrix or
-/// BaseView (the Executor passes the snapshot it pinned at flush).
-template <semiring::Semiring S, typename GetBase>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch_per_base(
-    GetBase&& base_of, std::span<const Query<S>* const> queries,
-    std::span<const std::size_t> ids, sparse::MxmStrategy strategy,
-    ServeStats* stats) {
-  using T = typename S::value_type;
-  std::vector<std::size_t> used(ids.begin(), ids.end());
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  std::vector<sparse::Matrix<T>> out(queries.size());
-  for (const auto id : used) {
-    std::vector<const Query<S>*> group;
-    std::vector<std::size_t> where;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (ids[i] == id) {
-        group.push_back(queries[i]);
-        where.push_back(i);
-      }
-    }
-    auto rs = run_batch<S>(base_of(id), group, strategy, stats);
-    for (std::size_t k = 0; k < where.size(); ++k) {
-      out[where[k]] = std::move(rs[k]);
-    }
-  }
-  return out;
-}
-
-}  // namespace detail
-
-/// Execute queries routed at SEVERAL bases: base_ids[i] names the base
-/// query i runs against. Each base's queries coalesce into one run_batch
-/// launch (detail::run_batch_per_base), so a batch touching G bases issues
-/// G launches; each result is bit-identical to run_single against its
-/// base.
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch_multi(
-    std::span<const sparse::Matrix<typename S::value_type>* const> bases,
-    const std::vector<Query<S>>& queries,
-    std::span<const std::size_t> base_ids,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  using T = typename S::value_type;
-  if (queries.size() != base_ids.size()) {
-    throw std::invalid_argument("run_batch_multi: one base id per query");
-  }
-  std::vector<const Query<S>*> ptrs;
-  ptrs.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (base_ids[i] >= bases.size() || bases[base_ids[i]] == nullptr) {
-      throw std::invalid_argument("run_batch_multi: bad base id");
-    }
-    detail::validate_query(*bases[base_ids[i]], queries[i]);
-    ptrs.push_back(&queries[i]);
-  }
-  return detail::run_batch_per_base<S>(
-      [&bases](std::size_t id) -> const sparse::Matrix<T>& {
-        return *bases[id];
-      },
-      ptrs, base_ids, strategy, stats);
 }
 
 }  // namespace hyperspace::serve

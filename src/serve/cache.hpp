@@ -119,7 +119,7 @@ class ResultCache {
   /// change must never alias a key.
   struct Key {
     std::uint64_t epoch = 0;      ///< base epoch the answer is valid at
-    std::size_t base = 0;         ///< base index within the engine
+    std::size_t base = 0;         ///< caller's base id (engines pass 0)
     sparse::Fingerprint lhs;      ///< lhs content fingerprint
     bool has_mask = false;
     sparse::Fingerprint mask;     ///< mask content fingerprint (if any)

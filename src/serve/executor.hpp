@@ -1,11 +1,11 @@
 #pragma once
 // Executor — the serving loop's front door over run_batch.
 //
-// Queries are submitted against one of several base matrices the executor
-// owns, tagged with a tenant id, and queued per tenant. A flush drains the
+// Queries are submitted against the one base matrix the executor owns,
+// tagged with a tenant id, and queued per tenant. A flush drains the
 // queues into coalesced batches under the admission policy and runs each
-// batch as one coalesced run_batch launch per base it touches, against
-// the snapshots pinned at flush (detail::run_batch_per_base):
+// batch as one coalesced run_batch launch against the base snapshot
+// pinned at flush:
 //
 //   * max_batch_queries  — close a batch after this many queries (bounds
 //     result latency and stacked-operand size);
@@ -29,19 +29,19 @@
 // deque. shutdown() (also run by the destructor) retires the flush
 // thread and, by default, drains every queued-but-unflushed ticket.
 //
-// Bases are updatable (sparse/delta.hpp): mutate(tenant, base, ops)
-// applies an UpdateBatch to a base's delta and publishes the next epoch.
-// Every flushed batch pins the snapshots of the bases it touches FIRST,
-// then runs — so an in-flight batch finishes on the epoch it started on
-// while later submits see the new one, and a query's answer is always
-// bit-identical to a from-scratch rebuild of its base at that epoch.
+// The base is updatable (sparse/delta.hpp): mutate(tenant, ops) applies
+// an UpdateBatch to the base's delta and publishes the next epoch. Every
+// flushed batch pins the base snapshot FIRST, then runs — so an in-flight
+// batch finishes on the epoch it started on while later submits see the
+// new one, and a query's answer is always bit-identical to a from-scratch
+// rebuild of the base at that epoch. A caller with several bases runs one
+// Executor per base.
 //
 // Whatever the mode, batch boundaries, tenant mix, flush timing, and
 // thread count NEVER change an answer: every result is bit-identical to
 // running its query alone, synchronously. ServeStats aggregates what
 // coalescing saved; TenantStats splits the accounting per tenant.
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -118,11 +118,11 @@ class Executor : public Service<S> {
     /// the router.
     bool trace_sampling = true;
     /// Delta-base tuning (buffer size, cascade fanout, compaction
-    /// threshold, background compactor). Applied to every base.
+    /// threshold, background compactor).
     sparse::DeltaConfig delta{};
     /// Result-cache byte budget (serve/cache.hpp); 0 (default) disables
-    /// caching. Entries are keyed per base epoch, so mutate() invalidates
-    /// without flushing.
+    /// caching. Entries are keyed on the base epoch, so mutate()
+    /// invalidates without flushing.
     std::size_t cache_bytes = 0;
     /// Cache empty answers too (negative entries). Only meaningful with
     /// cache_bytes > 0.
@@ -135,28 +135,19 @@ class Executor : public Service<S> {
   };
 
   explicit Executor(sparse::Matrix<T> base, Config cfg = {})
-      : Executor(make_one(std::move(base)), cfg) {}
-
-  explicit Executor(std::vector<sparse::Matrix<T>> bases, Config cfg = {})
       : cfg_(cfg), cache_({cfg.cache_bytes, cfg.cache_negative}) {
-    if (bases.empty()) {
-      throw std::invalid_argument("Executor: at least one base required");
-    }
     if (cfg_.max_batch_queries < 1) {
       throw std::invalid_argument("Executor: max_batch_queries must be >= 1");
     }
     if (cfg_.async && cfg_.flush_queue_depth < 1) {
       throw std::invalid_argument("Executor: flush_queue_depth must be >= 1");
     }
-    if (cfg_.strategy == sparse::MxmStrategy::kGustavson) {
+    if (cfg_.strategy == sparse::MxmStrategy::kGustavson &&
+        base.ncols() > sparse::kMaxGustavsonWidth) {
       // Fail fast: a base too wide for the dense scratch would otherwise
       // only surface as a kernel throw at flush time.
-      for (const auto& b : bases) {
-        if (b.ncols() > sparse::kMaxGustavsonWidth) {
-          throw std::invalid_argument(
-              "Executor: base too wide for the kGustavson dense scratch");
-        }
-      }
+      throw std::invalid_argument(
+          "Executor: base too wide for the kGustavson dense scratch");
     }
     live_ = {cfg_.max_batch_flops, cfg_.flush_queue_depth};
     if (cfg_.latency_target.count() > 0) {
@@ -164,15 +155,11 @@ class Executor : public Service<S> {
                                    .use_p95 = cfg_.admission_use_p95},
                                   live_);
     }
-    // Wrap every base in a DeltaBase: the ctor warms the view cache on
-    // this thread (submit() computes admission flops and the flush thread
-    // runs kernels concurrently, so the lazily materialized row-id cache
-    // must not be built under a race) and publishes the epoch-0 snapshot.
-    bases_.reserve(bases.size());
-    for (auto& b : bases) {
-      bases_.push_back(std::make_unique<sparse::DeltaBase<S>>(std::move(b),
-                                                              cfg_.delta));
-    }
+    // Wrap the base in a DeltaBase: the ctor warms the view cache on this
+    // thread (submit() computes admission flops and the flush thread runs
+    // kernels concurrently, so the lazily materialized row-id cache must
+    // not be built under a race) and publishes the epoch-0 snapshot.
+    base_ = std::make_unique<sparse::DeltaBase<S>>(std::move(base), cfg_.delta);
     if (cfg_.async) {
       flusher_running_ = true;
       flusher_ = std::thread([this] { flush_loop(); });
@@ -183,19 +170,12 @@ class Executor : public Service<S> {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Base `i`'s compacted main matrix (the delta is not folded in). The
+  /// The base's compacted main matrix (the delta is not folded in). The
   /// reference is valid until the base's next compaction.
-  const sparse::Matrix<T>& base(std::size_t i = 0) const {
-    return bases_.at(i)->main_matrix();
-  }
-  /// Base `i`'s delta wrapper — snapshot()/epoch()/compact() live there.
-  sparse::DeltaBase<S>& delta_base(std::size_t i = 0) {
-    return *bases_.at(i);
-  }
-  const sparse::DeltaBase<S>& delta_base(std::size_t i = 0) const {
-    return *bases_.at(i);
-  }
-  std::size_t n_bases() const { return bases_.size(); }
+  const sparse::Matrix<T>& base() const { return base_->main_matrix(); }
+  /// The base's delta wrapper — snapshot()/epoch()/compact() live there.
+  sparse::DeltaBase<S>& delta_base() { return *base_; }
+  const sparse::DeltaBase<S>& delta_base() const { return *base_; }
   const Config& config() const { return cfg_; }
 
   /// Aggregate accounting snapshot (safe against a concurrent flush).
@@ -204,12 +184,8 @@ class Executor : public Service<S> {
     return stats_;
   }
 
-  /// Base 0's current published epoch (0 = never mutated).
-  std::uint64_t epoch() const override { return bases_.front()->epoch(); }
-  /// Base `i`'s current published epoch.
-  std::uint64_t base_epoch(std::size_t i) const {
-    return bases_.at(i)->epoch();
-  }
+  /// The base's current published epoch (0 = never mutated).
+  std::uint64_t epoch() const override { return base_->epoch(); }
 
   /// Per-tenant accounting snapshot; default-constructed for an unknown id.
   TenantStats tenant_stats(TenantId tenant) const {
@@ -243,14 +219,11 @@ class Executor : public Service<S> {
   /// Result-cache accounting (zeroes when the cache is disabled).
   typename ResultCache<S>::Stats cache_stats() const { return cache_.stats(); }
 
-  /// Enqueue a query for `tenant` against base `base`; returns the ticket
-  /// redeemable via wait()/poll(). Shape mismatches throw here — at
-  /// admission, not at flush.
-  std::size_t submit(TenantId tenant, std::size_t base, Query<S> q) {
-    if (base >= bases_.size()) {
-      throw std::out_of_range("Executor: unknown base index");
-    }
-    detail::validate_query<S>(bases_[base]->nrows(), bases_[base]->ncols(), q);
+  /// Enqueue a query for `tenant`; returns the ticket redeemable via
+  /// wait()/poll(). Shape mismatches throw here — at admission, not at
+  /// flush.
+  std::size_t submit(TenantId tenant, Query<S> q) override {
+    detail::validate_query<S>(base_->nrows(), base_->ncols(), q);
     auto& tracer = trace::Tracer::instance();
     if (cfg_.trace_sampling && q.trace == 0) q.trace = tracer.sample();
     trace::ScopedSpan span(trace::Stage::kSubmit, q.trace, q.trace != 0);
@@ -266,11 +239,9 @@ class Executor : public Service<S> {
       trace::ScopedSpan probe_span(trace::Stage::kCacheProbe, q.trace,
                                    q.trace != 0);
       auto key = ResultCache<S>::make_key(
-          bases_[base]->epoch(), base, q,
-          static_cast<unsigned char>(cfg_.strategy));
-      auto hit = cache_.probe(key, [this](const auto& k) {
-        return k.epoch != bases_[k.base]->epoch();
-      });
+          base_->epoch(), 0, q, static_cast<unsigned char>(cfg_.strategy));
+      auto hit = cache_.probe(
+          key, [this](const auto& k) { return k.epoch != base_->epoch(); });
       probe_span.args(hit ? 1 : 0, hit ? hit->bytes : 0);
       if (hit) {
         const std::uint64_t tr2 = q.trace;
@@ -288,7 +259,7 @@ class Executor : public Service<S> {
       }
       ckey = std::move(key);  // install at settle, at the served epoch
     }
-    const std::uint64_t flops = query_flops(base, q);
+    const std::uint64_t flops = query_flops(q);
     const auto rows = static_cast<std::uint64_t>(q.lhs.nrows());
     span.args(flops, rows);
     // One timestamp serves both the tenant-queue span and the query
@@ -303,7 +274,7 @@ class Executor : public Service<S> {
     const std::size_t ticket = results_.size();
     results_.emplace_back();
     traces_.push_back(tr);
-    queues_[tenant].push_back(Pending{std::move(q), base, ticket, flops, rows,
+    queues_[tenant].push_back(Pending{std::move(q), ticket, flops, rows,
                                       tenant, tr, enq_ns, std::move(ckey)});
     ++n_pending_;
     (void)tstats_[tenant];  // tenant becomes visible on first submit
@@ -316,39 +287,28 @@ class Executor : public Service<S> {
     return ticket;
   }
 
-  std::size_t submit(TenantId tenant, Query<S> q) override {
-    return submit(tenant, 0, std::move(q));
-  }
-  std::size_t submit(Query<S> q) { return submit(0, 0, std::move(q)); }
+  using Service<S>::submit;  // submit(q) → anonymous tenant
 
-  /// Apply `ops` to base `base_idx` (in order, last write per key wins)
-  /// and return the epoch the batch created. Publication is atomic:
-  /// batches flushed before this call serve the old epoch, batches
-  /// flushed after serve the new one, and a flush racing this call gets
-  /// exactly one of the two — never a half-applied batch.
-  std::uint64_t mutate(TenantId tenant, std::size_t base_idx,
-                       const sparse::UpdateBatch<T>& ops) {
-    if (base_idx >= bases_.size()) {
-      throw std::out_of_range("Executor: unknown base index");
-    }
+  /// Apply `ops` to the base (in order, last write per key wins) and
+  /// return the epoch the batch created. Publication is atomic: batches
+  /// flushed before this call serve the old epoch, batches flushed after
+  /// serve the new one, and a flush racing this call gets exactly one of
+  /// the two — never a half-applied batch.
+  std::uint64_t mutate(TenantId tenant,
+                       const sparse::UpdateBatch<T>& ops) override {
     {
       std::lock_guard lock(mu_);
       if (stopping_) {
         throw std::runtime_error("Executor: mutate after shutdown");
       }
     }
-    const std::uint64_t e = bases_[base_idx]->mutate(ops);
+    const std::uint64_t e = base_->mutate(ops);
     {
       std::lock_guard lock(mu_);
       ++stats_.mutations;
       ++tstats_[tenant].mutations;
     }
     return e;
-  }
-
-  std::uint64_t mutate(TenantId tenant,
-                       const sparse::UpdateBatch<T>& ops) override {
-    return mutate(tenant, std::size_t{0}, ops);
   }
   using Service<S>::mutate;  // mutate(ops) → anonymous tenant
 
@@ -465,7 +425,6 @@ class Executor : public Service<S> {
  private:
   struct Pending {
     Query<S> q;
-    std::size_t base = 0;
     std::size_t ticket = 0;
     std::uint64_t flops = 0;
     std::uint64_t rows = 0;
@@ -483,18 +442,12 @@ class Executor : public Service<S> {
     if (it != failed_.end()) std::rethrow_exception(it->second);
   }
 
-  static std::vector<sparse::Matrix<T>> make_one(sparse::Matrix<T> base) {
-    std::vector<sparse::Matrix<T>> v;
-    v.push_back(std::move(base));
-    return v;
-  }
-
-  /// Exact flop count of q against base `bi` at its current epoch: Σ over
+  /// Exact flop count of q against the base at its current epoch: Σ over
   /// lhs entries of the matching base-row length (delta overlay included).
   /// O(nnz(lhs) · log) — cheap next to the product itself, and what makes
   /// the flop-budget admission exact.
-  std::uint64_t query_flops(std::size_t bi, const Query<S>& q) const {
-    const auto snap = bases_[bi]->snapshot();
+  std::uint64_t query_flops(const Query<S>& q) const {
+    const auto snap = base_->snapshot();
     const auto bv = snap->base_view();
     const auto a = q.lhs.view();
     std::uint64_t flops = 0;
@@ -615,27 +568,16 @@ class Executor : public Service<S> {
 
   void run_admitted(std::vector<Pending>& batch) {
     std::vector<const Query<S>*> qs;
-    std::vector<std::size_t> ids;
     qs.reserve(batch.size());
-    ids.reserve(batch.size());
     std::uint64_t batch_flops = 0;
     for (const auto& p : batch) {
       qs.push_back(&p.q);
-      ids.push_back(p.base);
       batch_flops += p.flops;
     }
-    // Pin the involved bases' snapshots FIRST: the whole batch runs on
-    // the epochs captured here even if mutations land mid-run, and the
-    // shared_ptrs keep those epochs alive past any concurrent compaction.
-    std::vector<std::shared_ptr<const sparse::DeltaSnapshot<T>>> snaps(
-        bases_.size());
-    std::uint64_t max_epoch = 0;
-    for (const auto id : ids) {
-      if (!snaps[id]) {
-        snaps[id] = bases_[id]->snapshot();
-        max_epoch = std::max(max_epoch, snaps[id]->epoch);
-      }
-    }
+    // Pin the snapshot FIRST: the whole batch runs on the epoch captured
+    // here even if mutations land mid-run, and the shared_ptr keeps that
+    // epoch alive past any concurrent compaction.
+    const auto snap = base_->snapshot();
     const bool telemetry = util::metrics::enabled();
     const bool timed = ctrl_.enabled() || telemetry;
     const auto t0 = timed ? std::chrono::steady_clock::now()
@@ -643,13 +585,10 @@ class Executor : public Service<S> {
     trace::ScopedSpan kernel_span(trace::Stage::kKernel, 0,
                                   trace::Tracer::instance().enabled());
     kernel_span.args(batch_flops, batch.size());
-    // One coalesced launch per base the batch touches, each against its
-    // pinned snapshot's patched view.
+    // One coalesced launch against the pinned snapshot's patched view.
     ServeStats ss;
-    auto rs = detail::run_batch_per_base<S>(
-        [&snaps](std::size_t id) { return snaps[id]->base_view(); }, qs, ids,
-        cfg_.strategy, &ss);
-    ss.epoch = max_epoch;
+    auto rs = run_batch<S>(snap->base_view(), qs, cfg_.strategy, &ss);
+    ss.epoch = snap->epoch;
     kernel_span.finish();
     if (cache_.enabled()) {
       // Install every cacheable answer under the epoch the batch actually
@@ -659,7 +598,7 @@ class Executor : public Service<S> {
       for (std::size_t k = 0; k < batch.size(); ++k) {
         if (!batch[k].ckey) continue;
         auto key = *batch[k].ckey;
-        key.epoch = snaps[batch[k].base]->epoch;
+        key.epoch = snap->epoch;
         cache_.install(key, rs[k]);
       }
     }
@@ -755,7 +694,7 @@ class Executor : public Service<S> {
     done_cv_.notify_all();
   }
 
-  std::vector<std::unique_ptr<sparse::DeltaBase<S>>> bases_;
+  std::unique_ptr<sparse::DeltaBase<S>> base_;
   Config cfg_;
   AdmissionController ctrl_;      ///< adaptive admission (off by default)
   AdmissionController::Limits live_{};  ///< limits in force (under mu_)

@@ -141,7 +141,7 @@ class Router : public Service<S> {
     auto& tracer = trace::Tracer::instance();
     if (q.trace == 0) q.trace = tracer.sample();
     // Result-cache probe, keyed on the router-level epoch (the count of
-    // logical mutation batches — coarser than the executor's per-base
+    // logical mutation batches — coarser than the shard executors'
     // epochs: ANY mutation invalidates, because the router cannot see
     // which shards a cached answer depended on). A hit settles the chain
     // before it exists: no scatter, no sub-queries, no merge.
@@ -250,7 +250,7 @@ class Router : public Service<S> {
     }
     for (std::size_t s = 0; s < slices.size(); ++s) {
       if (!slices[s].empty()) {
-        execs_[s]->mutate(tenant, std::size_t{0}, slices[s]);
+        execs_[s]->mutate(tenant, slices[s]);
       }
     }
     std::lock_guard lock(rmu_);
@@ -547,7 +547,7 @@ class Router : public Service<S> {
       }
     }
     ch.stage_ticket =
-        execs_[ch.shards[ch.stage]]->submit(ch.tenant, 0, std::move(sq));
+        execs_[ch.shards[ch.stage]]->submit(ch.tenant, std::move(sq));
     ++rstats_.stage_submits;
   }
 

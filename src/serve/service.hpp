@@ -16,7 +16,9 @@
 //   shutdown(drain)                      retire the engine
 //   stats() / epoch() / pending()        accounting
 //
-// so callers hold a Service<S>& and never name the engine. The contract
+// so callers hold a Service<S>& and never name the engine. Every engine
+// serves one base (the Router's is split into row shards); a caller with
+// several bases runs one engine per base. The contract
 // every implementation must keep: results are bit-identical to running
 // each query alone against a from-scratch rebuild of its base at the
 // epoch the query's batch was served — batching, sharding, asynchrony,
@@ -52,7 +54,7 @@ class Service {
   virtual std::size_t submit(TenantId tenant, Query<S> q) = 0;
 
   /// Apply a batch of mutations (in order, last write per key wins) to the
-  /// engine's primary base and return the epoch the batch created.
+  /// engine's base and return the epoch the batch created.
   /// In-flight query batches finish on the epoch they started on; later
   /// flushes serve the new one.
   virtual std::uint64_t mutate(TenantId tenant,
@@ -76,7 +78,7 @@ class Service {
   /// flushed batch was served at.
   virtual ServeStats stats() const = 0;
 
-  /// The primary base's current published epoch (0 = never mutated).
+  /// The base's current published epoch (0 = never mutated).
   virtual std::uint64_t epoch() const = 0;
 
   /// Queries queued but not yet admitted to a batch.

@@ -88,6 +88,23 @@ TEST(Planner, ChainEarlyExit) {
   const auto r = planned_chain(chain, &stats);
   EXPECT_TRUE(r.empty());
   EXPECT_EQ(stats.products_evaluated, 0);  // precheck fired before any work
+  EXPECT_EQ(stats.products_skipped, 3);    // every link of the chain
+}
+
+TEST(Planner, ChainEarlyExitCountsWithReusedStats) {
+  // A stats object carried across calls: products evaluated by earlier
+  // calls must not eat into the chain's skip count.
+  PlanStats stats;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    (void)planned_mtimes(block(0, 30 + s), block(0, 40 + s), &stats);
+  }
+  ASSERT_EQ(stats.products_evaluated, 3);
+  const int skipped = stats.products_skipped;
+  const std::vector<Arr> chain = {block(0, 15), block(5000, 16),
+                                  block(5000, 17)};
+  EXPECT_TRUE(planned_chain(chain, &stats).empty());
+  EXPECT_EQ(stats.products_skipped - skipped, 2);
+  EXPECT_EQ(stats.products_evaluated, 3);
 }
 
 TEST(Planner, ChainMatchesFoldWhenConnected) {

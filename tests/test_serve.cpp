@@ -39,46 +39,64 @@ Matrix<typename Sr::value_type> random_matrix(Index nrows, Index ncols,
 
 double dbl_entry(util::Xoshiro256& r) { return r.uniform(-1.0, 1.0); }
 
-/// A ragged batch exercising every query kind: unmasked, plain-masked,
-/// complement-masked, empty (no entries), zero-row, 1-row, and select.
+/// A ragged batch against an (nrows × ncols) base exercising every query
+/// kind: unmasked, plain-masked, complement-masked, empty (no entries),
+/// zero-row, 1-row, and select.
 template <semiring::Semiring Sr, typename Gen>
-std::vector<serve::Query<Sr>> ragged_batch(Index n, std::uint64_t seed,
-                                           Gen&& entry) {
+std::vector<serve::Query<Sr>> ragged_batch(Index nrows, Index ncols,
+                                           std::uint64_t seed, Gen&& entry) {
   using Q = serve::Query<Sr>;
   std::vector<Q> qs;
-  qs.push_back(Q::analytic(random_matrix<Sr>(6, n, 40, seed + 1, entry)));
-  qs.push_back(Q::masked(random_matrix<Sr>(5, n, 30, seed + 2, entry),
-                                random_matrix<Sr>(5, n, 60, seed + 3, entry)));
+  qs.push_back(Q::analytic(random_matrix<Sr>(6, nrows, 40, seed + 1, entry)));
+  qs.push_back(Q::masked(random_matrix<Sr>(5, nrows, 30, seed + 2, entry),
+                         random_matrix<Sr>(5, ncols, 60, seed + 3, entry)));
   qs.push_back(Q::masked(
-      random_matrix<Sr>(4, n, 25, seed + 4, entry),
-      random_matrix<Sr>(4, n, 20, seed + 5, entry), {.complement = true}));
-  qs.push_back(Q::analytic(random_matrix<Sr>(2, n, 0, seed + 6, entry)));
-  qs.push_back(
-      Q::analytic(random_matrix<Sr>(0, n, 0, seed + 7, entry)));  // zero rows
-  qs.push_back(Q::analytic(random_matrix<Sr>(1, n, 8, seed + 8, entry)));
-  qs.push_back(Q::select({0, n / 2, n - 1}, n));
+      random_matrix<Sr>(4, nrows, 25, seed + 4, entry),
+      random_matrix<Sr>(4, ncols, 20, seed + 5, entry), {.complement = true}));
+  qs.push_back(Q::analytic(random_matrix<Sr>(2, nrows, 0, seed + 6, entry)));
+  qs.push_back(Q::analytic(
+      random_matrix<Sr>(0, nrows, 0, seed + 7, entry)));  // zero rows
+  qs.push_back(Q::analytic(random_matrix<Sr>(1, nrows, 8, seed + 8, entry)));
+  qs.push_back(Q::select({0, nrows / 2, nrows - 1}, nrows));
   return qs;
 }
 
+/// The batching sweep over a square base of side n and two non-square
+/// bases (a narrow and a wide column space): answers bit-identical to
+/// run_single at every thread count, and the batch keeps and skips exactly
+/// the products its queries keep and skip alone.
 template <semiring::Semiring Sr, typename Gen>
 void expect_batched_equals_sequential(Index n, std::uint64_t seed,
                                       Gen&& entry) {
-  const auto base = random_matrix<Sr>(n, n, 6 * static_cast<int>(n), seed,
-                                      entry);
-  const auto queries = ragged_batch<Sr>(n, seed, entry);
-  for (const int nt : {1, 2, 8}) {
-    ThreadGuard guard(nt);
-    serve::ServeStats stats;
-    const auto batched = serve::run_batch(base, queries,
-                                          MxmStrategy::kAuto, &stats);
-    ASSERT_EQ(batched.size(), queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(base, queries[i]))
-          << "threads=" << nt << " query=" << i;
+  struct Shape {
+    Index nrows, ncols;
+    std::uint64_t seed;
+  };
+  for (const auto& [nrows, ncols, bseed] :
+       {Shape{n, n, seed}, Shape{32, 20, seed + 50},
+        Shape{16, 64, seed + 90}}) {
+    const auto base = random_matrix<Sr>(
+        nrows, ncols, 6 * static_cast<int>(nrows), bseed, entry);
+    const auto queries = ragged_batch<Sr>(nrows, ncols, bseed, entry);
+    for (const int nt : {1, 2, 8}) {
+      ThreadGuard guard(nt);
+      serve::ServeStats stats;
+      const auto batched = serve::run_batch(base, queries,
+                                            MxmStrategy::kAuto, &stats);
+      ASSERT_EQ(batched.size(), queries.size());
+      MxmMaskStats want;
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(batched[i], serve::run_single(base, queries[i],
+                                                MxmStrategy::kAuto, &want))
+            << "base=" << nrows << "x" << ncols << " threads=" << nt
+            << " query=" << i;
+      }
+      EXPECT_EQ(stats.queries, queries.size());
+      EXPECT_EQ(stats.kernel_launches, 1u);
+      EXPECT_EQ(stats.launches_saved, queries.size() - 1);
+      EXPECT_EQ(stats.flops_kept, want.flops_kept) << "threads=" << nt;
+      EXPECT_EQ(stats.flops_skipped, want.flops_skipped) << "threads=" << nt;
     }
-    EXPECT_EQ(stats.queries, queries.size());
-    EXPECT_EQ(stats.kernel_launches, 1u);
-    EXPECT_EQ(stats.launches_saved, queries.size() - 1);
   }
 }
 
@@ -103,7 +121,7 @@ TEST(ServeBatch, SetSemiringAllThreadCounts) {
 TEST(ServeBatch, EveryStrategyBitIdentical) {
   const Index n = 40;
   const auto base = random_matrix<S>(n, n, 240, 7, dbl_entry);
-  const auto queries = ragged_batch<S>(n, 7, dbl_entry);
+  const auto queries = ragged_batch<S>(n, n, 7, dbl_entry);
   for (const auto strat : {MxmStrategy::kGustavson, MxmStrategy::kHash,
                            MxmStrategy::kSorted}) {
     const auto batched = serve::run_batch(base, queries, strat);
@@ -117,7 +135,7 @@ TEST(ServeBatch, EveryStrategyBitIdentical) {
 TEST(ServeBatch, StatsThreadCountInvariant) {
   const Index n = 48;
   const auto base = random_matrix<S>(n, n, 300, 9, dbl_entry);
-  const auto queries = ragged_batch<S>(n, 9, dbl_entry);
+  const auto queries = ragged_batch<S>(n, n, 9, dbl_entry);
   serve::ServeStats ref;
   {
     ThreadGuard guard(1);
@@ -135,10 +153,15 @@ TEST(ServeBatch, StatsThreadCountInvariant) {
 
 TEST(ServeBatch, HypersparseQueriesCoalesce) {
   // Queries whose row spaces are hypersparse-huge: the stacked operand
-  // must go through DCSR and stay bit-identical.
+  // must go through DCSR and stay bit-identical — against an ordinary base
+  // and against one whose column space is far beyond the dense-accumulator
+  // cap, so its launch routes through the flat hash.
   const Index huge = Index{1} << 38;
   const Index n = 64;
-  const auto base = random_matrix<S>(n, n, 300, 11, dbl_entry);
+  ASSERT_GT(Index{1} << 30, kMaxGustavsonWidth);
+  const std::vector<Matrix<double>> bases{
+      random_matrix<S>(n, n, 300, 11, dbl_entry),
+      random_matrix<S>(n, Index{1} << 30, 120, 91, dbl_entry)};
   using Q = serve::Query<S>;
   std::vector<Q> qs;
   qs.push_back(Q::analytic(Matrix<double>::from_unique_triples(
@@ -146,11 +169,15 @@ TEST(ServeBatch, HypersparseQueriesCoalesce) {
   qs.push_back(Q::analytic(Matrix<double>::from_unique_triples(
       huge, n, {{Index{1} << 30, 1, 4.0}})));
   qs.push_back(Q::analytic(random_matrix<S>(4, n, 20, 12, dbl_entry)));
-  for (const int nt : {1, 8}) {
-    ThreadGuard guard(nt);
-    const auto batched = serve::run_batch(base, qs);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(base, qs[i])) << "query=" << i;
+  for (const auto& base : bases) {
+    for (const int nt : {1, 8}) {
+      ThreadGuard guard(nt);
+      const auto batched = serve::run_batch(base, qs);
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(batched[i], serve::run_single(base, qs[i]))
+            << "base cols=" << base.ncols() << " threads=" << nt
+            << " query=" << i;
+      }
     }
   }
 }
@@ -191,210 +218,13 @@ TEST(ServeBatch, ShapeMismatchesThrow) {
 }
 
 // --------------------------------------------------------------------------
-// Multi-base batches: queries against different bases coalesce per base,
-// one launch per base touched.
-
-/// Ragged queries against one (nrows × ncols) base: unmasked, plain- and
-/// complement-masked, select, and empty.
-template <semiring::Semiring Sr, typename Gen>
-std::vector<serve::Query<Sr>> base_queries(Index nrows, Index ncols,
-                                           std::uint64_t seed, Gen&& entry) {
-  using Q = serve::Query<Sr>;
-  std::vector<Q> qs;
-  qs.push_back(Q::analytic(random_matrix<Sr>(5, nrows, 30, seed + 1, entry)));
-  qs.push_back(
-      Q::masked(random_matrix<Sr>(4, nrows, 24, seed + 2, entry),
-                       random_matrix<Sr>(4, ncols, 40, seed + 3, entry)));
-  qs.push_back(
-      Q::masked(random_matrix<Sr>(3, nrows, 18, seed + 4, entry),
-                       random_matrix<Sr>(3, ncols, 12, seed + 5, entry),
-                       {.complement = true}));
-  qs.push_back(Q::select({0, nrows - 1}, nrows));
-  qs.push_back(Q::analytic(random_matrix<Sr>(2, nrows, 0, seed + 6, entry)));
-  return qs;
-}
-
-template <semiring::Semiring Sr, typename Gen>
-void expect_multi_batched_equals_sequential(std::uint64_t seed, Gen&& entry) {
-  using T = typename Sr::value_type;
-  // Bases of different shapes AND column spaces.
-  const auto b0 = random_matrix<Sr>(48, 48, 280, seed, entry);
-  const auto b1 = random_matrix<Sr>(32, 20, 180, seed + 50, entry);
-  const auto b2 = random_matrix<Sr>(16, 64, 100, seed + 90, entry);
-  const std::vector<const Matrix<T>*> bases{&b0, &b1, &b2};
-
-  // Interleave per-base query mixes so no base's queries are contiguous.
-  std::vector<serve::Query<Sr>> qs;
-  std::vector<std::size_t> ids;
-  auto q0 = base_queries<Sr>(48, 48, seed + 11, entry);
-  auto q1 = base_queries<Sr>(32, 20, seed + 22, entry);
-  auto q2 = base_queries<Sr>(16, 64, seed + 33, entry);
-  for (std::size_t i = 0; i < q0.size(); ++i) {
-    qs.push_back(std::move(q0[i]));
-    ids.push_back(0);
-    qs.push_back(std::move(q2[i]));
-    ids.push_back(2);
-    qs.push_back(std::move(q1[i]));
-    ids.push_back(1);
-  }
-
-  for (const int nt : {1, 2, 8}) {
-    ThreadGuard guard(nt);
-    serve::ServeStats stats;
-    const auto batched = serve::run_batch_multi<Sr>(
-        bases, qs, ids, MxmStrategy::kAuto, &stats);
-    ASSERT_EQ(batched.size(), qs.size());
-    MxmMaskStats want;
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i],
-                                              MxmStrategy::kAuto, &want))
-          << "threads=" << nt << " query=" << i << " base=" << ids[i];
-    }
-    EXPECT_EQ(stats.queries, qs.size());
-    EXPECT_EQ(stats.kernel_launches, bases.size());  // one per base
-    EXPECT_EQ(stats.launches_saved, qs.size() - bases.size());
-    // Exact per-flop accounting across bases: the batch keeps and skips
-    // exactly the products its queries keep and skip alone.
-    EXPECT_EQ(stats.flops_kept, want.flops_kept) << "threads=" << nt;
-    EXPECT_EQ(stats.flops_skipped, want.flops_skipped) << "threads=" << nt;
-  }
-}
-
-TEST(ServeMultiBase, ArithmeticSemiringAllThreadCounts) {
-  expect_multi_batched_equals_sequential<semiring::PlusTimes<double>>(
-      401, dbl_entry);
-}
-
-TEST(ServeMultiBase, TropicalSemiringAllThreadCounts) {
-  expect_multi_batched_equals_sequential<semiring::MinPlus<double>>(
-      502, [](util::Xoshiro256& r) { return r.uniform(0.0, 10.0); });
-}
-
-TEST(ServeMultiBase, SetSemiringAllThreadCounts) {
-  expect_multi_batched_equals_sequential<semiring::UnionIntersect>(
-      603, [](util::Xoshiro256& r) {
-        return semiring::ValueSet{static_cast<std::int64_t>(r.bounded(16)),
-                                  static_cast<std::int64_t>(r.bounded(16))};
-      });
-}
-
-TEST(ServeMultiBase, EveryStrategyBitIdentical) {
-  const auto b0 = random_matrix<S>(40, 40, 240, 71, dbl_entry);
-  const auto b1 = random_matrix<S>(24, 32, 150, 72, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0, &b1};
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> ids;
-  auto q0 = base_queries<S>(40, 40, 73, dbl_entry);
-  auto q1 = base_queries<S>(24, 32, 74, dbl_entry);
-  for (auto& q : q0) {
-    qs.push_back(std::move(q));
-    ids.push_back(0);
-  }
-  for (auto& q : q1) {
-    qs.push_back(std::move(q));
-    ids.push_back(1);
-  }
-  // kGustavson included: both bases fit a dense scratch.
-  for (const auto strat : {MxmStrategy::kGustavson, MxmStrategy::kHash,
-                           MxmStrategy::kSorted}) {
-    const auto batched = serve::run_batch_multi<S>(bases, qs, ids, strat);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i], strat))
-          << "strategy=" << static_cast<int>(strat) << " query=" << i;
-    }
-  }
-}
-
-TEST(ServeMultiBase, SingleBaseIdsDelegateToSingleBasePath) {
-  const auto b0 = random_matrix<S>(32, 32, 200, 81, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0};
-  const auto qs = ragged_batch<S>(32, 82, dbl_entry);
-  const std::vector<std::size_t> ids(qs.size(), 0);
-  serve::ServeStats st;
-  const auto multi =
-      serve::run_batch_multi<S>(bases, qs, ids, MxmStrategy::kAuto, &st);
-  const auto single = serve::run_batch(b0, qs);
-  ASSERT_EQ(multi.size(), single.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(multi[i], single[i]) << "query=" << i;
-  }
-  EXPECT_EQ(st.kernel_launches, 1u);
-}
-
-TEST(ServeMultiBase, HypersparseBasesCoalesce) {
-  // One base's column space far beyond the dense-accumulator cap: its
-  // launch must route through the flat hash, the other's through the
-  // dense scratch, and both stay exact.
-  const Index huge = Index{1} << 30;
-  const auto b0 = random_matrix<S>(64, huge, 120, 91, dbl_entry);
-  const auto b1 = random_matrix<S>(32, 32, 150, 92, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0, &b1};
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> ids;
-  qs.push_back(serve::Query<S>::analytic(
-      random_matrix<S>(3, 64, 12, 93, dbl_entry)));
-  ids.push_back(0);
-  qs.push_back(serve::Query<S>::analytic(
-      random_matrix<S>(2, 32, 10, 94, dbl_entry)));
-  ids.push_back(1);
-  for (const int nt : {1, 8}) {
-    ThreadGuard guard(nt);
-    const auto batched = serve::run_batch_multi<S>(bases, qs, ids);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i]))
-          << "query=" << i;
-    }
-  }
-}
-
-TEST(ServeMultiBase, GustavsonTooWideForStackFallsBackPerBase) {
-  // Each base alone fits the dense scratch, two side by side would not:
-  // forced kGustavson runs one batch per base and stays exact.
-  const Index wide = (Index{1} << 23) + 8;  // 2 × wide > kMaxGustavsonWidth
-  const auto b0 = random_matrix<S>(16, wide, 60, 95, dbl_entry);
-  const auto b1 = random_matrix<S>(16, wide, 60, 96, dbl_entry);
-  ASSERT_GT(2 * wide, kMaxGustavsonWidth);
-  const std::vector<const Matrix<double>*> bases{&b0, &b1};
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> ids;
-  for (int i = 0; i < 4; ++i) {
-    qs.push_back(serve::Query<S>::analytic(random_matrix<S>(
-        2, 16, 8, 97 + static_cast<std::uint64_t>(i), dbl_entry)));
-    ids.push_back(static_cast<std::size_t>(i % 2));
-  }
-  serve::ServeStats st;
-  const auto batched = serve::run_batch_multi<S>(
-      bases, qs, ids, MxmStrategy::kGustavson, &st);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i],
-                                            MxmStrategy::kGustavson))
-        << "query=" << i;
-  }
-  EXPECT_EQ(st.kernel_launches, 2u);  // one per base, still batched within
-  EXPECT_EQ(st.queries, 4u);
-}
-
-TEST(ServeMultiBase, BadBaseIdsThrow) {
-  const auto b0 = random_matrix<S>(8, 8, 20, 99, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0};
-  const std::vector<serve::Query<S>> qs{
-      serve::Query<S>::analytic(random_matrix<S>(1, 8, 4, 100, dbl_entry))};
-  EXPECT_THROW(serve::run_batch_multi<S>(bases, qs,
-                                         std::vector<std::size_t>{1}),
-               std::invalid_argument);
-  EXPECT_THROW(serve::run_batch_multi<S>(bases, qs,
-                                         std::vector<std::size_t>{}),
-               std::invalid_argument);
-}
-
-// --------------------------------------------------------------------------
 // Executor: queue, admission policy, stats.
 
 TEST(Executor, TicketsResolveInSubmissionOrder) {
   const Index n = 32;
   auto base = random_matrix<S>(n, n, 160, 21, dbl_entry);
   serve::Executor<S> ex(base);
-  const auto queries = ragged_batch<S>(n, 21, dbl_entry);
+  const auto queries = ragged_batch<S>(n, n, 21, dbl_entry);
   std::vector<std::size_t> tickets;
   for (const auto& q : queries) tickets.push_back(ex.submit(q));
   EXPECT_EQ(ex.pending(), queries.size());
@@ -589,71 +419,6 @@ TEST(PlannedBatch, RoutesCoalescesAndFallsBack) {
   EXPECT_EQ(ps.products_skipped, 2);
   EXPECT_EQ(ss.kernel_launches, 1u);
   EXPECT_EQ(ss.queries, 2u);
-}
-
-TEST(ArrayMultiBatch, MatchesSequentialAcrossBases) {
-  const auto base0 = entity_array({"a", "b", "c"}, {"x", "y"}, 71, 100);
-  const auto base1 = entity_array({"p", "q"}, {"u", "v", "w"}, 72, 100);
-  const std::vector<const array::AssocArray<S>*> bases{&base0, &base1};
-  std::vector<array::MultiBatchQuery<S>> qs;
-  qs.push_back({0, {entity_array({"k0"}, {"a", "c"}, 73, 100), std::nullopt, {}}});
-  qs.push_back({1, {entity_array({"k1"}, {"p", "q"}, 74, 100), std::nullopt, {}}});
-  qs.push_back({1,
-                {entity_array({"k2"}, {"q"}, 75, 100),
-                 entity_array({"k2"}, {"u", "w"}, 76, 100),
-                 {}}});
-  qs.push_back({0,
-                {entity_array({"k3"}, {"b"}, 77, 100),
-                 entity_array({"k3"}, {"y"}, 78, 100),
-                 {.complement = true}}});
-  serve::ServeStats st;
-  const auto rs = array::mtimes_batched_multi(bases, qs, &st);
-  ASSERT_EQ(rs.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto& base = *bases[qs[i].base];
-    const auto want =
-        qs[i].q.mask
-            ? array::mtimes_masked(qs[i].q.lhs, base, *qs[i].q.mask,
-                                   qs[i].q.desc)
-            : array::mtimes(qs[i].q.lhs, base);
-    EXPECT_EQ(rs[i], want) << "query=" << i;
-  }
-  EXPECT_EQ(st.kernel_launches, 2u);  // one launch per base
-  EXPECT_EQ(st.launches_saved, 2u);
-}
-
-TEST(PlannedMultiBatch, RoutesCoalescesAndFallsBackPerBase) {
-  const auto base0 = entity_array({"a", "b", "c"}, {"x", "y"}, 81, 100);
-  const auto base1 = entity_array({"p", "q"}, {"u", "v"}, 82, 100);
-  const std::vector<const array::AssocArray<S>*> bases{&base0, &base1};
-  std::vector<array::MultiBatchQuery<S>> qs;
-  // Batchable against base 0.
-  qs.push_back({0, {entity_array({"k0"}, {"a", "b"}, 83, 100), std::nullopt, {}}});
-  // Batchable against base 1.
-  qs.push_back({1, {entity_array({"k1"}, {"p"}, 84, 100), std::nullopt, {}}});
-  // Fallback: inner keys reach outside base 1's row key space.
-  qs.push_back(
-      {1, {entity_array({"k2"}, {"q", "stray"}, 85, 100), std::nullopt, {}}});
-  // Annihilated by §IV against base 0.
-  qs.push_back(
-      {0, {entity_array({"k3"}, {"nowhere"}, 86, 100), std::nullopt, {}}});
-  db::PlanStats ps;
-  serve::ServeStats ss;
-  const auto rs = db::planned_multi_batch(bases, qs, &ps, &ss);
-  ASSERT_EQ(rs.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto& base = *bases[qs[i].base];
-    const auto want =
-        qs[i].q.mask ? db::planned_mtimes_masked(qs[i].q.lhs, base,
-                                                 *qs[i].q.mask, qs[i].q.desc)
-                     : db::planned_mtimes(qs[i].q.lhs, base);
-    EXPECT_EQ(rs[i], want) << "query=" << i;
-  }
-  EXPECT_EQ(ps.batches, 2);  // one coalesced launch per base
-  EXPECT_EQ(ps.queries_batched, 2);
-  EXPECT_EQ(ps.queries_fallback, 1);
-  EXPECT_EQ(ps.products_skipped, 1);
-  EXPECT_EQ(ss.kernel_launches, 2u);
 }
 
 TEST(PlannedBatch, EmptyQueryListIsANoOp) {

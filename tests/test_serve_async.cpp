@@ -1,14 +1,12 @@
 // Tests for the async multi-tenant executor (serve/executor.hpp): the
 // background flush thread, ticket futures (wait/poll), per-tenant
-// accounting and flop quotas, multi-base submission, and the shutdown /
-// drain protocol. The core invariant is unchanged from the synchronous
-// engine: no flush timing, batch boundary, tenant mix, base mix, or
-// thread count may ever change an answer.
+// accounting and flop quotas, and the shutdown / drain protocol. The core
+// invariant is unchanged from the synchronous engine: no flush timing,
+// batch boundary, tenant mix, or thread count may ever change an answer.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -78,12 +76,8 @@ serve::Query<S> point_query(Index n, int width, std::uint64_t seed) {
 
 template <semiring::Semiring Sr, typename Gen>
 void expect_async_equals_sync(std::uint64_t seed, Gen&& entry) {
-  using T = typename Sr::value_type;
-  std::vector<sparse::Matrix<T>> bases;
-  bases.push_back(random_matrix<Sr>(40, 40, 240, seed, entry));
-  bases.push_back(random_matrix<Sr>(24, 32, 150, seed + 5, entry));
-  const auto b0 = bases[0];  // value copies for the reference runs
-  const auto b1 = bases[1];
+  const auto b0 = random_matrix<Sr>(40, 40, 240, seed, entry);
+  const auto b1 = random_matrix<Sr>(24, 32, 150, seed + 5, entry);
 
   std::vector<serve::Query<Sr>> qs;
   std::vector<std::size_t> base_of;
@@ -104,32 +98,40 @@ void expect_async_equals_sync(std::uint64_t seed, Gen&& entry) {
     base_of.push_back(b);
   }
 
+  typename serve::Executor<Sr>::Config cfg;
+  cfg.max_batch_queries = 5;
+  cfg.async = true;
+  cfg.flush_queue_depth = 7;
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
-    serve::Executor<Sr> ex(bases, {.max_batch_queries = 5,
-                                   .async = true,
-                                   .flush_queue_depth = 7});
+    // One async executor per base; submissions interleave across both.
+    serve::Executor<Sr> ex0(b0, cfg);
+    serve::Executor<Sr> ex1(b1, cfg);
+    serve::Executor<Sr>* const ex[] = {&ex0, &ex1};
     std::vector<std::size_t> tickets;
     for (std::size_t i = 0; i < qs.size(); ++i) {
-      tickets.push_back(ex.submit(static_cast<serve::TenantId>(i % 3),
-                                  base_of[i], qs[i]));
+      tickets.push_back(ex[base_of[i]]->submit(
+          static_cast<serve::TenantId>(i % 3), qs[i]));
     }
     for (std::size_t i = 0; i < qs.size(); ++i) {
       const auto& base = base_of[i] == 0 ? b0 : b1;
-      EXPECT_EQ(ex.wait(tickets[i]), serve::run_single(base, qs[i]))
+      EXPECT_EQ(ex[base_of[i]]->wait(tickets[i]),
+                serve::run_single(base, qs[i]))
           << "threads=" << nt << " query=" << i;
     }
-    const auto st = ex.stats();
-    EXPECT_EQ(st.queries, qs.size());
-    // Per-tenant exact counters are flush-timing invariant.
-    std::uint64_t tq = 0, trows = 0;
-    for (const auto t : ex.tenants()) {
-      tq += ex.tenant_stats(t).queries;
-      trows += ex.tenant_stats(t).rows;
+    for (std::size_t b = 0; b < 2; ++b) {
+      const auto st = ex[b]->stats();
+      EXPECT_EQ(st.queries, qs.size() / 2) << "base=" << b;
+      // Per-tenant exact counters are flush-timing invariant.
+      std::uint64_t tq = 0, trows = 0;
+      for (const auto t : ex[b]->tenants()) {
+        tq += ex[b]->tenant_stats(t).queries;
+        trows += ex[b]->tenant_stats(t).rows;
+      }
+      EXPECT_EQ(tq, st.queries) << "base=" << b;
+      EXPECT_EQ(trows, st.rows_coalesced) << "base=" << b;
+      ex[b]->shutdown();
     }
-    EXPECT_EQ(tq, st.queries);
-    EXPECT_EQ(trows, st.rows_coalesced);
-    ex.shutdown();
   }
 }
 
@@ -387,84 +389,6 @@ TEST(Executor, RoundRobinRotatesAcrossBatches) {
   // so tenant 1 eats a second deferral while b0 is served ahead of a1.
   EXPECT_EQ(ex.tenant_stats(1).deferrals, 2u);
   EXPECT_EQ(ex.tenant_stats(2).deferrals, 3u);
-}
-
-// --------------------------------------------------------------------------
-// Multi-base submission through the executor.
-
-TEST(Executor, MultiBaseSubmitMatchesPerBaseSingles) {
-  std::vector<Matrix<double>> bases;
-  bases.push_back(random_matrix<S>(32, 32, 180, 51, dbl_entry));
-  bases.push_back(random_matrix<S>(20, 48, 120, 52, dbl_entry));
-  const auto b0 = bases[0];
-  const auto b1 = bases[1];
-  serve::Executor<S> ex(bases);
-  std::vector<std::size_t> tickets;
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> base_of;
-  for (int i = 0; i < 10; ++i) {
-    const std::size_t b = static_cast<std::size_t>(i % 2);
-    qs.push_back(serve::Query<S>::analytic(random_matrix<S>(
-        2, b == 0 ? 32 : 20, 8, 60 + static_cast<std::uint64_t>(i),
-        dbl_entry)));
-    base_of.push_back(b);
-    tickets.push_back(ex.submit(0, b, qs.back()));
-  }
-  ex.flush();
-  EXPECT_EQ(ex.stats().kernel_launches, 2u);  // one launch per base
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(ex.wait(tickets[i]),
-              serve::run_single(base_of[i] == 0 ? b0 : b1, qs[i]))
-        << "query=" << i;
-  }
-  EXPECT_THROW(ex.submit(0, 2, qs.front()), std::out_of_range);
-
-  // Mutate base 1, then run a second mixed round: each batch launches
-  // once per base against the snapshots pinned at flush, and every answer
-  // matches a from-scratch rebuild of the mutated base.
-  sparse::UpdateBatch<double> ops;
-  ops.push_back(sparse::Update<double>::assign(0, 5, 2.5));
-  ops.push_back(sparse::Update<double>::assign(19, 47, -1.25));
-  for (const auto& t : b1.to_triples()) {
-    if (t.row % 3 == 0) {
-      ops.push_back(sparse::Update<double>::erased(t.row, t.col));
-    }
-  }
-  EXPECT_EQ(ex.mutate(0, 1, ops), 1u);
-  std::map<std::pair<Index, Index>, double> cells;
-  for (const auto& t : b1.to_triples()) cells[{t.row, t.col}] = t.val;
-  for (const auto& u : ops) {
-    if (u.erase) {
-      cells.erase({u.row, u.col});
-    } else {
-      cells[{u.row, u.col}] = u.val;
-    }
-  }
-  std::vector<Triple<double>> rebuilt;
-  for (const auto& [rc, v] : cells) rebuilt.push_back({rc.first, rc.second, v});
-  const auto b1_mutated =
-      Matrix<double>::from_triples<S>(20, 48, std::move(rebuilt));
-  std::size_t changed = 0;
-  for (std::size_t i = 1; i < qs.size(); i += 2) {
-    changed += !(serve::run_single(b1, qs[i]) ==
-                 serve::run_single(b1_mutated, qs[i]));
-  }
-  ASSERT_GT(changed, 0u);  // the mutation is visible to base 1's queries
-  for (const int nt : {1, 4}) {
-    ThreadGuard guard(nt);
-    const auto launches = ex.stats().kernel_launches;
-    tickets.clear();
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      tickets.push_back(ex.submit(0, base_of[i], qs[i]));
-    }
-    ex.flush();
-    EXPECT_EQ(ex.stats().kernel_launches - launches, 2u) << "threads=" << nt;
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(ex.wait(tickets[i]),
-                serve::run_single(base_of[i] == 0 ? b0 : b1_mutated, qs[i]))
-          << "threads=" << nt << " query=" << i;
-    }
-  }
 }
 
 TEST(Executor, GustavsonTooWideBaseRejectedAtConstruction) {
