@@ -27,7 +27,9 @@ using S = semiring::PlusTimes<double>;
 
 void print_preamble() {
   util::banner("Ablation: SpGEMM accumulators & fused masks");
-  std::cout << "auto rule: dense accumulator iff ncols(B) <= 2^24\n";
+  std::cout << "auto rule: dense accumulator iff ncols(B) <= 2^24 and "
+               "est. flops >= "
+            << sparse::kAutoDenseFlopsPerColumn << " * ncols(B)\n";
   // Correctness cross-checks at bench time.
   const auto a = er_matrix(512, 4096, 1);
   const auto b = er_matrix(512, 4096, 2);
@@ -331,6 +333,44 @@ void bm_auto(benchmark::State& state) {
   state.SetLabel("auto strategy");
 }
 BENCHMARK(bm_auto)->Arg(1024)->Arg(4096);
+
+void bm_auto_launch_size(benchmark::State& state) {
+  // kAuto's launch-size rule: a selector of <rows> random rows against a
+  // 2^18-wide R-MAT base, under Arg1 = 0 kGustavson, 1 kHash, 2 kAuto. The
+  // dense scratch costs O(ncols) to set up per worker (4 MiB here), the
+  // flat hash nothing, so small launches belong to the hash and large ones
+  // to the dense scratch; the kAuto row should track the faster of the two
+  // at every size.
+  static const auto base = rmat_matrix(18, 16, 11);
+  const auto rows = static_cast<Index>(state.range(0));
+  const MxmStrategy strategies[] = {MxmStrategy::kGustavson, MxmStrategy::kHash,
+                                    MxmStrategy::kAuto};
+  const auto strategy = strategies[state.range(1)];
+  util::Xoshiro256 rng(static_cast<std::uint64_t>(rows));
+  std::vector<sparse::Triple<double>> t;
+  for (Index i = 0; i < rows; ++i) {
+    t.push_back({i,
+                 static_cast<Index>(rng.bounded(
+                     static_cast<std::uint64_t>(base.nrows()))),
+                 1.0});
+  }
+  const auto sel = sparse::Matrix<double>::from_unique_triples(
+      rows, base.nrows(), std::move(t));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sparse::mxm<S>(sel, base, strategy));
+  }
+  // Which side of the rule this launch falls on (1 = kAuto picks dense).
+  state.counters["auto_dense"] =
+      sparse::detail::auto_strategy(sel, sparse::detail::BaseView(base)) ==
+      MxmStrategy::kGustavson;
+  state.SetLabel(std::string(state.range(1) == 0   ? "Gustavson"
+                             : state.range(1) == 1 ? "hash"
+                                                   : "auto") +
+                 ", " + std::to_string(rows) + "-row selector, 2^18 columns");
+}
+BENCHMARK(bm_auto_launch_size)
+    ->ArgsProduct({{1, 8, 64, 4096}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 void bm_threads(benchmark::State& state) {
   // Thread-scaling sweep on the unified runtime: Arg = thread count.

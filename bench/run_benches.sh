@@ -4,11 +4,12 @@
 #   BENCH_spgemm.json   — SpGEMM accumulator-strategy, mask-fusion, and
 #     mask-probe sweep (flat open-addressing hash vs the unordered_map
 #     baseline, mask-density × strategy × fused/unfused, binary vs bitmap
-#     probe)
+#     probe, kAuto's launch-size rule)
 #   BENCH_serve.json    — serving-throughput sweep (K=1/8/64 queries,
 #     batched block-diagonal serving vs per-query dispatch, sync + async
 #     executor paths, one run_batch per base vs per-query dispatch over
-#     four bases, and the result-cache on/off Zipf-repeat rows)
+#     four bases, the router's empty-flush cost, and the result-cache
+#     on/off Zipf-repeat rows)
 # Used locally via the `run_benches` CMake target and in CI, where the
 # JSONs are uploaded as artifacts to track the perf trajectory across PRs.
 # Schemas and row-reading guide: docs/BENCHMARKS.md.
@@ -76,7 +77,7 @@ merge_reports "${TMPDIR_BENCH}/parallel" "${OUT_PARALLEL}"
 # SpGEMM accumulator + mask-fusion ablation: the flat-hash-vs-unordered_map,
 # fused-vs-unfused, and binary-vs-bitmap-probe acceptance numbers live here.
 run_bench spgemm ablation_spgemm \
-  "--benchmark_filter=(bm_hash_flat_vs_stdmap/.*|bm_sorted_accumulator/.*|bm_masked/.*|bm_masked_probe/.*|bm_masked_probe_hypersparse/.*|bm_masked_complement_bfs_style/.*|bm_hash_hypersparse/.*)"
+  "--benchmark_filter=(bm_hash_flat_vs_stdmap/.*|bm_sorted_accumulator/.*|bm_masked/.*|bm_masked_probe/.*|bm_masked_probe_hypersparse/.*|bm_masked_complement_bfs_style/.*|bm_hash_hypersparse/.*|bm_auto_launch_size/.*)"
 merge_reports "${TMPDIR_BENCH}/spgemm" "${OUT_SPGEMM}"
 
 # Batch-throughput sweep: K=1/8/64 queries, batched vs per-query dispatch,

@@ -194,8 +194,9 @@ void bm_serve_executor(benchmark::State& state) {
 BENCHMARK(bm_serve_executor)->Arg(8)->Arg(64);
 
 void bm_serve_executor_async(benchmark::State& state) {
-  // Async executor: the background thread flushes on queue depth while the
-  // caller submits, then every ticket is awaited. Measures the futures
+  // Async executor: the work-conserving background thread launches while
+  // the caller submits (whatever queues during a launch is the next
+  // batch), then every ticket is awaited. Measures the futures
   // round trip (submit → background coalesced launch → wait) against the
   // synchronous path above; answers are bit-identical by contract.
   const int k = static_cast<int>(state.range(0));
@@ -203,10 +204,7 @@ void bm_serve_executor_async(benchmark::State& state) {
   auto base = er_matrix(n, static_cast<std::size_t>(n) * 16, 1);
   const auto qs = make_queries(0, k, n, 4);
   for (auto _ : state) {
-    serve::Executor<S> ex(base, {.async = true,
-                                 .flush_queue_depth = 16,
-                                 .flush_interval =
-                                     std::chrono::milliseconds(1)});
+    serve::Executor<S> ex(base, {.async = true});
     std::vector<std::size_t> tickets;
     tickets.reserve(qs.size());
     for (const auto& q : qs) tickets.push_back(ex.submit(q));
@@ -309,6 +307,36 @@ BENCHMARK(bm_serve_sharded)
     ->Args({64, 2})
     ->Args({64, 4});
 
+void bm_router_empty_flush(benchmark::State& state) {
+  // The Router's live-chain index: flush() walks only the chains that
+  // still have a non-final stage to advance, so one empty flush after N
+  // served point queries costs O(in flight), not O(N) — the row should be
+  // flat in N. A 2-shard sync router; 4-key point queries straddle the cut,
+  // so every served query was a 2-stage chain that entered and left the
+  // index.
+  const auto served = static_cast<int>(state.range(0));
+  const Index n = 4096;
+  const auto base = er_matrix(n, static_cast<std::size_t>(n) * 16, 1);
+  const auto qs = make_queries(0, 64, n, 12);
+  serve::Router<S> router(base, {.n_shards = 2});
+  for (int i = 0; i < served; i += static_cast<int>(qs.size())) {
+    for (const auto& q : qs) router.submit(q);
+    router.flush();
+  }
+  for (auto _ : state) router.flush();
+  state.counters["served"] = static_cast<double>(served);
+  state.counters["straddling"] =
+      static_cast<double>(router.router_stats().straddling);
+  state.SetLabel("2-shard router, empty flush after " +
+                 std::to_string(served) + " point queries");
+}
+// Iterations pinned: the N-query warm-up runs once, outside the timed loop.
+BENCHMARK(bm_router_empty_flush)
+    ->Iterations(2000)
+    ->Arg(1024)
+    ->Arg(32768)
+    ->Unit(benchmark::kMicrosecond);
+
 void bm_serve_mixed_rw(benchmark::State& state) {
   // Mixed read/write serving through the Service interface: each tick
   // interleaves K point queries with M mutation batches (32 updates each,
@@ -387,10 +415,7 @@ void bm_serve_latency(benchmark::State& state) {
   util::metrics::set_enabled(true);
   util::metrics::Registry::instance().reset_values();
   for (auto _ : state) {
-    serve::Executor<S> ex(base, {.async = true,
-                                 .flush_queue_depth = 16,
-                                 .flush_interval =
-                                     std::chrono::milliseconds(1)});
+    serve::Executor<S> ex(base, {.async = true});
     std::vector<std::size_t> tickets;
     tickets.reserve(qs.size());
     for (const auto& q : qs) tickets.push_back(ex.submit(q));

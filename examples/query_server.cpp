@@ -15,9 +15,10 @@
 // shutdown / stats. The traffic loop takes a Service& and never learns it
 // is talking to a sharded router; swap in a plain Executor and the same
 // code runs unchanged (and answers bit-identically, per the Service
-// contract). Nobody calls flush(): the shard flush threads drain their
-// queues on queue depth or deadline, coalescing each slice into ONE
-// block-diagonal masked product under the admission policy. Callers
+// contract). Nobody calls flush(): each shard flush thread launches as
+// soon as its queue is non-empty, and whatever queues during a launch is
+// coalesced into the next one — ONE block-diagonal masked product per
+// batch under the admission policy. Callers
 // submit() and later wait() their ticket, exactly like a future. In-flight
 // batches finish on the epoch they started on; batches flushed after a
 // mutate() serve the new epoch.
@@ -155,8 +156,6 @@ int main(int argc, char** argv) {
       base, {.executor = {.max_batch_queries = 64,
                           .tenant_flop_quota = std::uint64_t{1} << 16,
                           .async = true,
-                          .flush_queue_depth = 48,
-                          .flush_interval = std::chrono::milliseconds(1),
                           .cache_bytes = std::size_t{1} << 20},
              .n_shards = 4});
   std::cout << "router: " << router.n_shards() << " row-range shards of "
@@ -173,8 +172,8 @@ int main(int argc, char** argv) {
   std::size_t answered = 0, nonempty = 0;
   for (int tick = 0; tick < 3; ++tick) {
     const auto tickets = run_tick(ex, n, rng, 256);
-    // Redeem the futures — wait() nudges the flushers for anything still
-    // queued, so no explicit flush() appears anywhere in this program.
+    // Redeem the futures — the flushers drain whatever is still queued on
+    // their own, so no explicit flush() appears anywhere in this program.
     for (const auto tk : tickets) {
       ++answered;
       nonempty += ex.wait(tk).nnz() > 0;

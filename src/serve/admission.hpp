@@ -1,36 +1,35 @@
 #pragma once
-// Adaptive admission — derive the executor's batch budgets online.
+// Adaptive admission — derive the executor's batch flop budget online.
 //
-// The executor's admission policy is governed by two knobs that PR 4 left
-// static: `max_batch_flops` (close a batch at this flop budget) and
-// `flush_queue_depth` (async: flush at this queue depth). Because the
-// serving engine counts flops EXACTLY (Σ base-row lengths per lhs entry —
-// no estimation), every flushed batch yields one exact (flops, latency)
+// The executor closes a batch at `max_batch_flops`. Because the serving
+// engine counts flops EXACTLY (Σ base-row lengths per lhs entry — no
+// estimation), every flushed batch yields one exact (flops, latency)
 // sample, and a latency target translates directly into a flop budget:
 //
 //   latency ≈ fixed_cost + ns_per_flop · flops
 //   ⇒ max_batch_flops = (target − fixed_cost) / ns_per_flop
 //
-// This controller is that translation, first cut: EWMA over the per-batch
-// ns-per-flop (batches large enough that the fixed cost is noise) plus an
-// EWMA of the per-query flop mass to derive a matching queue depth. It is
-// a PURE component — observe() takes the sample, limits() returns the
+// This controller is that translation: an EWMA over the per-batch
+// ns-per-flop (batches large enough that the fixed cost is noise). It is a
+// PURE component — observe() takes the sample, limits() returns the
 // recommendation, nothing reads a clock — so tests drive it with injected
 // timings and assert exact convergence. The executor wires real batch
 // timings in when `Config.latency_target` is set; with the target unset
-// (the default) admission stays fully static.
+// (the default) admission stays fully static. There is no queue-depth
+// limit to steer: the async flusher launches whenever its queue is
+// non-empty, so batch sizes follow load by themselves.
 //
 // Adaptivity never touches results: admission only decides how the queue
 // is SLICED into batches, and batching is answer-invariant by the serving
 // determinism contract.
 //
-// Second cut (telemetry PR): alongside the EWMA mean the controller keeps
-// a log-bucketed histogram of every usable ns-per-flop sample (the
+// Tail-aware mode: alongside the EWMA mean the controller keeps a
+// log-bucketed histogram of every usable ns-per-flop sample (the
 // util/metrics.hpp bucket geometry, in 1/1024 ns-per-flop fixed point,
 // stored as a plain copyable array — still pure, still no clocks). With
 // `Config.use_p95` set, budget derivation divides the target by the
 // nearest-rank p95 instead of the mean: tail-aware admission that one
-// lucky fast batch cannot widen. The executor exports the live limits and
+// lucky fast batch cannot widen. The executor exports the live budget and
 // the usable-sample count as gauges, so a starved controller (all batches
 // below min_sample_flops) is visible instead of silently static.
 
@@ -53,8 +52,6 @@ class AdmissionController {
     /// gates on one lucky fast batch.
     std::uint64_t min_batch_flops = 1u << 10;
     std::uint64_t max_batch_flops = std::uint64_t{1} << 40;
-    int min_queue_depth = 1;
-    int max_queue_depth = 1 << 16;
     /// EWMA smoothing weight of a new sample, in [0, 1].
     double gain = 0.25;
     /// Ignore batches below this flop mass when estimating ns/flop: tiny
@@ -67,10 +64,9 @@ class AdmissionController {
     bool use_p95 = false;
   };
 
-  /// The two live admission limits the executor consumes.
+  /// The live admission limit the executor consumes.
   struct Limits {
     std::uint64_t max_batch_flops;
-    int flush_queue_depth;
   };
 
   AdmissionController() = default;
@@ -79,18 +75,10 @@ class AdmissionController {
 
   bool enabled() const { return cfg_.latency_target.count() > 0; }
 
-  /// Feed one flushed batch's exact sample: its admitted flop mass, its
-  /// measured wall latency, and how many queries it served.
-  void observe(std::uint64_t flops, std::chrono::nanoseconds latency,
-               std::size_t queries) {
+  /// Feed one flushed batch's exact sample: its admitted flop mass and its
+  /// measured wall latency.
+  void observe(std::uint64_t flops, std::chrono::nanoseconds latency) {
     if (!enabled()) return;
-    if (queries > 0 && flops > 0) {
-      const double fpq = static_cast<double>(flops) /
-                         static_cast<double>(queries);
-      flops_per_query_ = flops_per_query_ <= 0.0
-                             ? fpq
-                             : ewma(flops_per_query_, fpq);
-    }
     if (flops < cfg_.min_sample_flops) return;  // fixed-cost noise
     const double sample = static_cast<double>(latency.count()) /
                           static_cast<double>(flops);
@@ -106,21 +94,9 @@ class AdmissionController {
                             ? std::max(p95_ns_per_flop(), kMinCost)
                             : ns_per_flop_;
     const double want = target_ns / cost;
-    Limits next;
-    next.max_batch_flops =
-        want >= static_cast<double>(cfg_.max_batch_flops)
-            ? cfg_.max_batch_flops
-            : static_cast<std::uint64_t>(want);
-    // Queue depth: how many average queries fill the flop budget. Without
-    // a flop estimate yet, leave the configured depth alone.
-    next.flush_queue_depth =
-        flops_per_query_ > 0.0
-            ? static_cast<int>(std::min<double>(
-                  static_cast<double>(cfg_.max_queue_depth),
-                  static_cast<double>(next.max_batch_flops) /
-                      flops_per_query_))
-            : limits_.flush_queue_depth;
-    limits_ = clamp(next);
+    limits_ = clamp({want >= static_cast<double>(cfg_.max_batch_flops)
+                         ? cfg_.max_batch_flops
+                         : static_cast<std::uint64_t>(want)});
   }
 
   Limits limits() const { return limits_; }
@@ -128,7 +104,6 @@ class AdmissionController {
 
   /// Current ns-per-flop estimate (0 until the first usable sample).
   double ns_per_flop() const { return ns_per_flop_; }
-  double flops_per_query() const { return flops_per_query_; }
 
   /// Usable samples observed (those at or above min_sample_flops). A
   /// controller stuck at 0 here is starved — every batch measured fixed
@@ -169,16 +144,12 @@ class AdmissionController {
   Limits clamp(Limits l) const {
     l.max_batch_flops = std::clamp(l.max_batch_flops, cfg_.min_batch_flops,
                                    cfg_.max_batch_flops);
-    l.flush_queue_depth = std::clamp(l.flush_queue_depth,
-                                     cfg_.min_queue_depth,
-                                     cfg_.max_queue_depth);
     return l;
   }
 
   Config cfg_{};
-  Limits limits_{std::uint64_t{1} << 32, 64};
+  Limits limits_{std::uint64_t{1} << 32};
   double ns_per_flop_ = 0.0;
-  double flops_per_query_ = 0.0;
   std::uint64_t samples_ = 0;
   /// Plain (non-atomic) sample histogram: observe() is already serialized
   /// by the executor's flush lock, and a plain array keeps the controller

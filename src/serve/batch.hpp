@@ -249,7 +249,8 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
   // query's block offset. Carry rows whose lhs row the driver never
   // visited (no lhs entries in this launch) pass through verbatim — rows
   // the driver DID visit already contain their carry via the in-kernel
-  // seed.
+  // seed. The cost hint (rows per query) runs a small batch's scatter
+  // inline instead of waking the pool.
   const auto nq = static_cast<std::ptrdiff_t>(queries.size());
   std::vector<sparse::Matrix<T>> results(queries.size());
   util::parallel_for(0, nq, 1, [&](std::ptrdiff_t q) {
@@ -296,6 +297,9 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
     }
     results[qi] = sparse::Matrix<T>::from_canonical_triples(hi - lo, B.ncols,
                                                             t, S::zero());
+  }, [&offsets](std::ptrdiff_t q) -> std::uint64_t {
+    const auto qi = static_cast<std::size_t>(q);
+    return static_cast<std::uint64_t>(offsets[qi + 1] - offsets[qi]);
   });
   return results;
 }

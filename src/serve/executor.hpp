@@ -22,12 +22,14 @@
 //     a zero batch budget) still makes progress, one query per batch.
 //
 // Synchronous mode (default): the caller drives flush() (or lets wait()
-// do it). Async mode (`Config.async`): a dedicated background thread
-// drains the queue whenever the queue depth reaches `flush_queue_depth`
-// or the `flush_interval` deadline passes, so callers submit() and later
-// wait()/poll() a ticket — results are futures backed by the ticketed
-// deque. shutdown() (also run by the destructor) retires the flush
-// thread and, by default, drains every queued-but-unflushed ticket.
+// do it). Async mode (`Config.async`): a dedicated background thread is
+// work-conserving — it launches as soon as its queue is non-empty, and
+// whatever arrives during a launch becomes the next batch, so batches grow
+// with load by themselves and a lone query never waits on a timer. Callers
+// submit() and later wait()/poll() a ticket — results are futures backed
+// by the ticketed deque. shutdown() (also run by the destructor) retires
+// the flush thread and, by default, drains every queued-but-unflushed
+// ticket.
 //
 // The base is updatable (sparse/delta.hpp): mutate(tenant, ops) applies
 // an UpdateBatch to the base's delta and publishes the next epoch. Every
@@ -100,13 +102,11 @@ class Executor : public Service<S> {
     /// (no-extra-thread) builds: every API below then runs synchronously
     /// on the calling thread, same results bit for bit.
     bool async = false;
-    int flush_queue_depth = 64;  ///< async: flush when this many are queued
-    std::chrono::milliseconds flush_interval{2};  ///< async: flush deadline
     /// Adaptive admission (serve/admission.hpp): when set, every flushed
-    /// batch's exact (flops, latency) sample drives `max_batch_flops` and
-    /// `flush_queue_depth` toward this per-batch latency target. Zero (the
-    /// default) keeps both limits static. Results are unaffected either
-    /// way — admission only re-slices the queue.
+    /// batch's exact (flops, latency) sample drives `max_batch_flops`
+    /// toward this per-batch latency target. Zero (the default) keeps the
+    /// budget static. Results are unaffected either way — admission only
+    /// re-slices the queue.
     std::chrono::microseconds latency_target{0};
     /// Adaptive admission steers by the p95 of observed ns-per-flop
     /// instead of the EWMA mean (see AdmissionController::Config::use_p95).
@@ -139,9 +139,6 @@ class Executor : public Service<S> {
     if (cfg_.max_batch_queries < 1) {
       throw std::invalid_argument("Executor: max_batch_queries must be >= 1");
     }
-    if (cfg_.async && cfg_.flush_queue_depth < 1) {
-      throw std::invalid_argument("Executor: flush_queue_depth must be >= 1");
-    }
     if (cfg_.strategy == sparse::MxmStrategy::kGustavson &&
         base.ncols() > sparse::kMaxGustavsonWidth) {
       // Fail fast: a base too wide for the dense scratch would otherwise
@@ -149,7 +146,7 @@ class Executor : public Service<S> {
       throw std::invalid_argument(
           "Executor: base too wide for the kGustavson dense scratch");
     }
-    live_ = {cfg_.max_batch_flops, cfg_.flush_queue_depth};
+    live_ = {cfg_.max_batch_flops};
     if (cfg_.latency_target.count() > 0) {
       ctrl_ = AdmissionController({.latency_target = cfg_.latency_target,
                                    .use_p95 = cfg_.admission_use_p95},
@@ -279,11 +276,8 @@ class Executor : public Service<S> {
     ++n_pending_;
     (void)tstats_[tenant];  // tenant becomes visible on first submit
     if (queues_[tenant].back().ckey) ++tstats_[tenant].cache_misses;
-    const bool trigger =
-        flusher_running_ &&
-        n_pending_ >= static_cast<std::size_t>(live_.flush_queue_depth);
     lock.unlock();
-    if (trigger) queue_cv_.notify_all();
+    queue_cv_.notify_one();  // an idle async flusher launches at once
     return ticket;
   }
 
@@ -313,8 +307,9 @@ class Executor : public Service<S> {
   using Service<S>::mutate;  // mutate(ops) → anonymous tenant
 
   /// Drain the whole queue now, on the calling thread. In async mode this
-  /// is also what the background thread runs on its triggers; concurrent
-  /// drains serialize, so calling it alongside the flusher is safe.
+  /// is also what the background thread runs whenever its queue is
+  /// non-empty; concurrent drains serialize, so calling it alongside the
+  /// flusher is safe.
   void flush() override {
     {
       std::lock_guard lock(mu_);
@@ -326,50 +321,32 @@ class Executor : public Service<S> {
   /// Block until the ticket's result exists and return it. The reference
   /// stays valid across later submit()/flush() calls (results live in a
   /// deque, which never relocates settled elements). In sync mode this
-  /// flushes on the calling thread; in async mode it nudges the flush
-  /// thread and waits. Throws if the ticket was dropped by a non-draining
-  /// shutdown.
+  /// flushes on the calling thread; in async mode the flush thread is
+  /// already draining the queue, so it just waits. Throws if the ticket was
+  /// dropped by a non-draining shutdown.
   const sparse::Matrix<T>& wait(std::size_t ticket) override {
     trace::ScopedSpan span;
-    {
-      std::unique_lock lock(mu_);
-      if (ticket >= results_.size()) {
-        throw std::out_of_range("Executor: unknown ticket");
-      }
-      span.start(trace::Stage::kWait, traces_[ticket], traces_[ticket] != 0);
-      if (results_[ticket]) return *results_[ticket];
-      rethrow_if_failed_locked(ticket);
-      if (terminated_) {
-        throw std::runtime_error("Executor: ticket dropped at shutdown");
-      }
-      if (flusher_running_) {
-        force_flush_ = true;
-        queue_cv_.notify_all();
-        done_cv_.wait(lock, [&] {
-          return results_[ticket].has_value() || failed_.count(ticket) > 0 ||
-                 terminated_ || !flusher_running_;
-        });
-        if (results_[ticket]) return *results_[ticket];
-        rethrow_if_failed_locked(ticket);
-        if (terminated_) {
-          throw std::runtime_error("Executor: ticket dropped at shutdown");
-        }
-        // Flusher retired mid-wait (shutdown in flight): fall through and
-        // resolve synchronously.
-      }
-    }
-    flush();
     std::unique_lock lock(mu_);
-    // An in-flight drain on another thread may still be writing results.
-    done_cv_.wait(lock, [&] {
+    if (ticket >= results_.size()) {
+      throw std::out_of_range("Executor: unknown ticket");
+    }
+    span.start(trace::Stage::kWait, traces_[ticket], traces_[ticket] != 0);
+    // terminated_ covers every other exit: shutdown() drains (or drops)
+    // whatever the flusher left and only then sets it.
+    const auto done = [&] {
       return results_[ticket].has_value() || failed_.count(ticket) > 0 ||
              terminated_;
-    });
-    if (!results_[ticket]) {
-      rethrow_if_failed_locked(ticket);
-      throw std::runtime_error("Executor: ticket dropped at shutdown");
+    };
+    if (!done() && !flusher_running_) {
+      lock.unlock();
+      flush();
+      lock.lock();
     }
-    return *results_[ticket];
+    // An in-flight drain on another thread may still be writing results.
+    done_cv_.wait(lock, done);
+    if (results_[ticket]) return *results_[ticket];
+    rethrow_if_failed_locked(ticket);
+    throw std::runtime_error("Executor: ticket dropped at shutdown");
   }
 
   /// Non-blocking probe: the settled result, or nullptr while pending.
@@ -617,8 +594,7 @@ class Executor : public Service<S> {
         // One exact (flops, latency) sample per flushed batch; the derived
         // limits govern the NEXT admission round.
         ctrl_.observe(batch_flops,
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(dt),
-                      batch.size());
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(dt));
         live_ = ctrl_.limits();
       }
       if (telemetry) {
@@ -634,13 +610,10 @@ class Executor : public Service<S> {
           auto& reg = hm::Registry::instance();
           g_adm_flops_ = &reg.gauge(prefix + "max_batch_flops",
                                     hm::Stability::kTiming);
-          g_adm_depth_ = &reg.gauge(prefix + "flush_queue_depth",
-                                    hm::Stability::kTiming);
           g_adm_samples_ =
               &reg.gauge(prefix + "samples", hm::Stability::kTiming);
         }
         g_adm_flops_->set(static_cast<double>(live_.max_batch_flops));
-        g_adm_depth_->set(static_cast<double>(live_.flush_queue_depth));
         g_adm_samples_->set(static_cast<double>(ctrl_.samples()));
       }
       const std::uint64_t settle_ns =
@@ -669,18 +642,15 @@ class Executor : public Service<S> {
     done_cv_.notify_all();
   }
 
-  /// Background flush loop (async mode): wake on queue depth, an explicit
-  /// nudge (wait()/shutdown), or the flush_interval deadline.
+  /// Background flush loop (async mode), work-conserving: sleep only while
+  /// the queue is empty, and drain as soon as a submit (or shutdown) wakes
+  /// it. flush_impl() keeps admitting until the queue is empty, so queries
+  /// that land during a launch ride the next batch of the same drain.
   void flush_loop() {
     std::unique_lock lock(mu_);
     while (!stopping_) {
-      queue_cv_.wait_for(lock, cfg_.flush_interval, [&] {
-        return stopping_ || force_flush_ ||
-               n_pending_ >= static_cast<std::size_t>(live_.flush_queue_depth);
-      });
+      queue_cv_.wait(lock, [&] { return stopping_ || n_pending_ > 0; });
       if (stopping_) break;
-      force_flush_ = false;
-      if (n_pending_ == 0) continue;
       lock.unlock();
       try {
         flush_impl();
@@ -703,7 +673,6 @@ class Executor : public Service<S> {
   /// on the first telemetered batch (registry entries are process-
   /// lifetime, so the pointers never dangle).
   util::metrics::Gauge* g_adm_flops_ = nullptr;
-  util::metrics::Gauge* g_adm_depth_ = nullptr;
   util::metrics::Gauge* g_adm_samples_ = nullptr;
 
   mutable std::mutex mu_;       ///< queues, results, stats, lifecycle flags
@@ -722,7 +691,6 @@ class Executor : public Service<S> {
 
   std::thread flusher_;
   bool flusher_running_ = false;
-  bool force_flush_ = false;
   bool stopping_ = false;    ///< refuses new submits; flusher exits
   bool terminated_ = false;  ///< results are final; absent ⇒ dropped
 };

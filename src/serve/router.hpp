@@ -30,7 +30,9 @@
 // Straddling queries form a CHAIN of sub-queries, one per touched shard in
 // ascending shard order; the chain advances when wait()/poll()/flush()
 // observes a settled stage and submits the next one with the partial as
-// its carry. Chains across DIFFERENT queries proceed concurrently.
+// its carry. Chains across DIFFERENT queries proceed concurrently. The
+// router indexes only the chains that still have a non-final stage to
+// advance, so flush() and shutdown() cost O(in flight), not O(history).
 //
 // The 1-shard Router is the unsharded executor, verbatim: the map moves
 // the base through untouched, every query is single-shard pass-through,
@@ -46,6 +48,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -220,6 +223,7 @@ class Router : public Service<S> {
     }
     if (chains_.back().shards.size() > 1) {
       ++rstats_.straddling;
+      live_.insert(ticket);
     } else {
       ++rstats_.single_shard;
     }
@@ -294,9 +298,7 @@ class Router : public Service<S> {
         install_locked(ch, r);
         return r;
       }
-      ch.stage += 1;
-      ++rstats_.merges;
-      submit_stage_locked(ch, r);  // the partial seeds the next shard
+      advance_locked(ticket, ch, r);  // the partial seeds the next shard
     }
   }
 
@@ -318,33 +320,35 @@ class Router : public Service<S> {
         install_locked(ch, *r);
         return r;
       }
-      ch.stage += 1;
-      ++rstats_.merges;
-      submit_stage_locked(ch, *r);
+      advance_locked(ticket, ch, *r);
     }
   }
 
   /// Drain everything on the calling thread: flush every shard executor
-  /// and advance every chain until all queues are empty and every chain is
-  /// at its final, settled stage.
+  /// and advance every live chain until all queues are empty and every
+  /// chain is at its final, settled stage. Walks only the live-chain
+  /// index, so an empty flush costs O(in flight), not O(queries served).
   void flush() override {
     for (;;) {
       for (auto& e : execs_) e->flush();
       bool advanced = false;
       {
         std::lock_guard lock(rmu_);
-        for (auto& ch : chains_) {
+        for (auto it = live_.begin(); it != live_.end();) {
+          const std::size_t ticket = *it++;  // advancing may erase it
+          Chain& ch = chains_[ticket];
           while (ch.stage + 1 < ch.shards.size()) {
             const sparse::Matrix<T>* r = nullptr;
             try {
               r = execs_[ch.shards[ch.stage]]->poll(ch.stage_ticket);
             } catch (...) {
-              break;  // failed stage: wait() rethrows it to the caller
+              // Failed stage: wait() rethrows it to the caller, and the
+              // chain can never advance again.
+              live_.erase(ticket);
+              break;
             }
             if (r == nullptr) break;
-            ch.stage += 1;
-            ++rstats_.merges;
-            submit_stage_locked(ch, *r);
+            advance_locked(ticket, ch, *r);
             advanced = true;
           }
         }
@@ -507,6 +511,17 @@ class Router : public Service<S> {
                   rstats_.merges);
   }
 
+  /// Fold chain `ticket`'s settled partial `r` forward into its next stage
+  /// (rmu_ held). Once the final stage is submitted the chain leaves the
+  /// live index: only its last shard executor has work left for it.
+  void advance_locked(std::size_t ticket, Chain& ch,
+                      const sparse::Matrix<T>& r) {
+    ch.stage += 1;
+    ++rstats_.merges;
+    submit_stage_locked(ch, r);
+    if (ch.stage + 1 == ch.shards.size()) live_.erase(ticket);
+  }
+
   /// Submit chain stage `ch.stage` to its shard executor (rmu_ held).
   /// `carry` is the previous stage's partial (or the caller's seed for
   /// stage 0); the mask rides along on every stage — output columns are
@@ -557,6 +572,9 @@ class Router : public Service<S> {
 
   mutable std::mutex rmu_;     ///< chains + router stats + lifecycle
   std::deque<Chain> chains_;   ///< ticket-indexed
+  /// Tickets of the chains with a non-final stage still to advance —
+  /// what flush() walks. Single-shard and cache-hit chains never enter.
+  std::set<std::size_t> live_;
   RouterStats rstats_;
   ResultCache<S> cache_;       ///< internally locked; off by default
   /// Router-level per-tenant cache accounting (hits never reach a shard

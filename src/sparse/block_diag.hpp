@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -71,6 +72,15 @@ Matrix<T> concat_blocks(Index nrows, Index ncols, std::vector<Block<T>> blocks,
     views.push_back(b.m->view());
   }
   const auto nparts = static_cast<std::ptrdiff_t>(blocks.size());
+  // Cost hints, rows or entries per part: a small batch's loops stay below
+  // one tile's worth and run inline instead of waking the pool.
+  const auto rows_of = [&views](std::ptrdiff_t p) -> std::uint64_t {
+    return views[static_cast<std::size_t>(p)].row_ids.size();
+  };
+  const auto entries_of = [&views](std::ptrdiff_t p) -> std::uint64_t {
+    const auto& v = views[static_cast<std::size_t>(p)];
+    return v.row_ids.size() + static_cast<std::uint64_t>(v.nnz());
+  };
 
   // Per-block entry and non-empty-row offsets (serial prefix over K parts).
   std::vector<std::size_t> val_off(blocks.size() + 1, 0);
@@ -82,7 +92,7 @@ Matrix<T> concat_blocks(Index nrows, Index ncols, std::vector<Block<T>> blocks,
       ne += !v.row_cols(ri).empty();
     }
     ne_count[static_cast<std::size_t>(p)] = ne;
-  });
+  }, rows_of);
   std::vector<std::size_t> ne_off(blocks.size() + 1, 0);
   for (std::size_t p = 0; p < blocks.size(); ++p) {
     val_off[p + 1] =
@@ -115,7 +125,7 @@ Matrix<T> concat_blocks(Index nrows, Index ncols, std::vector<Block<T>> blocks,
           vals[o] = rv[j];
         }
       }
-    });
+    }, entries_of);
     for (std::size_t r = 0; r < static_cast<std::size_t>(nrows); ++r) {
       row_ptr[r + 1] += row_ptr[r];
     }
@@ -147,7 +157,7 @@ Matrix<T> concat_blocks(Index nrows, Index ncols, std::vector<Block<T>> blocks,
         vals[o] = rv[j];
       }
     }
-  });
+  }, entries_of);
   std::vector<Index> row_ptr(static_cast<std::size_t>(total_ne) + 1, 0);
   for (std::size_t r = 0; r < row_len.size(); ++r) {
     row_ptr[r + 1] = row_ptr[r] + row_len[r];

@@ -16,7 +16,10 @@
 //   * kSorted    — append + sort-fold; reference strategy, good for tiny rows.
 //
 // All strategies fold duplicates with S::add in encounter order, so their
-// outputs are bit-identical and mxm() may pick freely (kAuto).
+// outputs are bit-identical and mxm() may pick freely (kAuto). kAuto sizes
+// the choice to the launch: the dense scratch costs O(ncols(B)) to set up
+// on every worker, so it is picked only when the launch's estimated flops
+// pay for that set-up; smaller launches take the flat hash.
 //
 // Masked products are *fused*: mxm_masked_fused consults the mask during
 // accumulation, doing O(kept) accumulator work instead of materializing the
@@ -44,6 +47,12 @@ enum class MxmStrategy { kAuto, kGustavson, kHash, kSorted };
 
 /// Dense accumulators wider than this fall back to hashing.
 inline constexpr Index kMaxGustavsonWidth = Index{1} << 24;
+
+/// kAuto's launch-size rule: dense scratch only when the launch's estimated
+/// flops reach kAutoDenseFlopsPerColumn · ncols(B). Its set-up writes a
+/// value and a stamp per column, on every worker that runs rows; below the
+/// line the flat hash is faster (bm_auto_launch_size).
+inline constexpr std::uint64_t kAutoDenseFlopsPerColumn = 4;
 
 namespace detail {
 
@@ -296,18 +305,32 @@ Matrix<typename S::value_type> mxm_driver(
       A.nrows(), B.ncols(), triples, S::zero());
 }
 
-/// Strategy switch over mxm_rows. kAuto prefers the dense scratch while it
-/// fits, else the flat hash.
+/// kAuto's pick for A ⊕.⊗ B. The flop estimate, nnz(A) × the mean length
+/// of B's stored rows, is O(1) and ignores the thread count, so the pick
+/// (and the invariant mxm.launches.* counters) does too. It changes time,
+/// never bytes: every accumulator folds in encounter order.
+template <typename T>
+MxmStrategy auto_strategy(const Matrix<T>& A, const BaseView<T>& bv) {
+  if (bv.ncols > kMaxGustavsonWidth) return MxmStrategy::kHash;
+  const auto b_rows = static_cast<double>(bv.b.row_ids.size());
+  const double mean_b_row =
+      b_rows > 0 ? static_cast<double>(bv.b.nnz()) / b_rows : 0.0;
+  const double est_flops = static_cast<double>(A.view().nnz()) * mean_b_row;
+  return est_flops >= static_cast<double>(kAutoDenseFlopsPerColumn) *
+                          static_cast<double>(bv.ncols)
+             ? MxmStrategy::kGustavson
+             : MxmStrategy::kHash;
+}
+
+/// Strategy switch over mxm_rows; kAuto resolves by launch size
+/// (auto_strategy).
 template <semiring::Semiring S, typename Mask,
           typename Carry = detail::NoCarry>
 std::vector<detail::RowSlice<typename S::value_type>> mxm_dispatch_rows(
     const Matrix<typename S::value_type>& A,
     const BaseView<typename S::value_type>& bv, MxmStrategy strategy,
     const Mask& mask, MxmMaskStats* stats, const Carry& carry = {}) {
-  if (strategy == MxmStrategy::kAuto) {
-    strategy = bv.ncols <= kMaxGustavsonWidth ? MxmStrategy::kGustavson
-                                              : MxmStrategy::kHash;
-  }
+  if (strategy == MxmStrategy::kAuto) strategy = auto_strategy(A, bv);
   const bool telemetry = util::metrics::enabled();
   if (telemetry) {
     // Which accumulator actually ran (post-kAuto resolution) is a shape

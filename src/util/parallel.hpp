@@ -30,8 +30,10 @@
 // pool neighbouring rows stay on one node). A worker pops tiles from the
 // bottom of its own deque; when it drains, it steals the TOP HALF of a
 // victim's remaining range in one CAS (Chase–Lev style: owner at the
-// bottom, thieves split from the top). The pre-tiling static-cursor handout
-// is kept behind Scheduler::kStatic / HYPERSPACE_SCHED=static for A/B
+// bottom, thieves split from the top). A hinted region whose total cost is
+// below one tile's worth (kMinParallelCost) never wakes the pool: it runs
+// inline on the caller. The pre-tiling static-cursor handout is kept
+// behind Scheduler::kStatic / HYPERSPACE_SCHED=static for A/B
 // benchmarking.
 //
 // Determinism contract: WHICH worker runs a tile, and in what steal order,
@@ -293,6 +295,10 @@ struct Tile {
 inline constexpr std::ptrdiff_t kTilesPerWorker = 8;
 /// Hard cap on the tile count (indices are packed into 32-bit deque words).
 inline constexpr std::ptrdiff_t kMaxTiles = std::ptrdiff_t{1} << 22;
+/// One tile's worth of hinted work, in the hint's own units (rows or
+/// entries). A hinted region whose total falls below it runs inline on the
+/// caller: handing tiles to other workers would cost more than the region.
+inline constexpr std::uint64_t kMinParallelCost = 256;
 
 /// Cut [begin, end) into tiles. Unit cost: even tiles of
 /// max(grain, n/(kTilesPerWorker·nthreads)) indices. With a cost hint: walk
@@ -532,8 +538,10 @@ void run_static(std::ptrdiff_t begin, std::ptrdiff_t end, std::ptrdiff_t g,
 
 /// Shared loop driver: tile (cost-aware when hinted), then run under the
 /// active scheduler. `per_worker` makes each worker's scratch,
-/// `body(i, scratch)` runs per index. First exception wins and is rethrown
-/// on the calling thread.
+/// `body(i, scratch)` runs per index. A hinted region below one tile's
+/// worth runs inline — tiles stitch by index, so where a region runs
+/// never changes bytes. First exception wins and is rethrown on the
+/// calling thread.
 template <typename MakeScratch, typename Body, typename Cost = UnitCost>
 void for_each_chunked(std::ptrdiff_t begin, std::ptrdiff_t end,
                       std::ptrdiff_t grain, MakeScratch&& per_worker,
@@ -545,10 +553,18 @@ void for_each_chunked(std::ptrdiff_t begin, std::ptrdiff_t end,
   const int nt = max_threads();
   const int nthreads = static_cast<int>(std::min<std::ptrdiff_t>(nt, nchunks));
 
-  if (nthreads <= 1) {
+  const auto run_inline = [&] {
     auto scratch = per_worker();
     for (std::ptrdiff_t i = begin; i < end; ++i) body(i, scratch);
-    return;
+  };
+  if (nthreads <= 1) return run_inline();
+  if constexpr (!kIsUnitCost<Cost>) {
+    // The sum stops at the threshold: the probe is O(min(n, threshold)).
+    std::uint64_t total = 0;
+    for (auto i = begin; i < end && total < kMinParallelCost; ++i) {
+      total += cost(i);
+    }
+    if (total < kMinParallelCost) return run_inline();
   }
   if (scheduler() == Scheduler::kStatic) {
     run_static(begin, end, g, nchunks, nthreads, per_worker, body);
@@ -557,11 +573,7 @@ void for_each_chunked(std::ptrdiff_t begin, std::ptrdiff_t end,
   const auto tiles = build_tiles(begin, end, g, nt, cost);
   const int tile_threads = static_cast<int>(std::min<std::ptrdiff_t>(
       nt, static_cast<std::ptrdiff_t>(tiles.size())));
-  if (tile_threads <= 1) {
-    auto scratch = per_worker();
-    for (std::ptrdiff_t i = begin; i < end; ++i) body(i, scratch);
-    return;
-  }
+  if (tile_threads <= 1) return run_inline();
   run_worksteal(tiles, tile_threads, per_worker, body);
 }
 
@@ -570,22 +582,15 @@ struct NoScratch {};
 }  // namespace detail
 
 /// Parallel loop: body(i) for i in [begin, end), `grain` indices per task.
-template <typename Body>
+/// The optional cost hint `cost(i)` estimates the relative work of index i
+/// (for sparse kernels, the row's stored extent — free from the CSR row
+/// pointers). The tiler splits by accumulated cost instead of index count,
+/// so a hub row becomes its own tile, and a region below one tile's worth
+/// runs inline. Hints steer scheduling only — results are bit-identical
+/// with or without them.
+template <typename Body, typename Cost = detail::UnitCost>
 void parallel_for(std::ptrdiff_t begin, std::ptrdiff_t end,
-                  std::ptrdiff_t grain, Body&& body) {
-  detail::for_each_chunked(
-      begin, end, grain, [] { return detail::NoScratch{}; },
-      [&body](std::ptrdiff_t i, detail::NoScratch&) { body(i); });
-}
-
-/// Parallel loop with a per-index cost hint: `cost(i)` estimates the
-/// relative work of index i (for sparse kernels, the row's stored extent —
-/// free from the CSR row pointers). The tiler splits by accumulated cost
-/// instead of index count, so a hub row becomes its own tile. Hints steer
-/// tiling only — results are bit-identical with or without them.
-template <typename Body, typename Cost>
-void parallel_for(std::ptrdiff_t begin, std::ptrdiff_t end,
-                  std::ptrdiff_t grain, Body&& body, Cost&& cost) {
+                  std::ptrdiff_t grain, Body&& body, Cost&& cost = {}) {
   detail::for_each_chunked(
       begin, end, grain, [] { return detail::NoScratch{}; },
       [&body](std::ptrdiff_t i, detail::NoScratch&) { body(i); },
@@ -593,24 +598,15 @@ void parallel_for(std::ptrdiff_t begin, std::ptrdiff_t end,
 }
 
 /// Parallel loop with per-thread scratch: `make()` is invoked once per
-/// worker, body(i, scratch&) per index. The canonical shape for kernels
-/// with dense accumulators / stamp arrays / hash maps. Scratch is
-/// constructed ON the worker thread, so with NUMA pinning (util/numa.hpp)
-/// first-touch places it node-local.
-template <typename MakeScratch, typename Body>
+/// worker, body(i, scratch&) per index, with the optional cost hint of
+/// parallel_for. The canonical shape for kernels with dense accumulators /
+/// stamp arrays / hash maps. Scratch is constructed ON the worker thread,
+/// so with NUMA pinning (util/numa.hpp) first-touch places it node-local.
+template <typename MakeScratch, typename Body,
+          typename Cost = detail::UnitCost>
 void parallel_for_scratch(std::ptrdiff_t begin, std::ptrdiff_t end,
                           std::ptrdiff_t grain, MakeScratch&& make,
-                          Body&& body) {
-  detail::for_each_chunked(begin, end, grain,
-                           std::forward<MakeScratch>(make),
-                           std::forward<Body>(body));
-}
-
-/// parallel_for_scratch with a per-index cost hint (see parallel_for).
-template <typename MakeScratch, typename Body, typename Cost>
-void parallel_for_scratch(std::ptrdiff_t begin, std::ptrdiff_t end,
-                          std::ptrdiff_t grain, MakeScratch&& make,
-                          Body&& body, Cost&& cost) {
+                          Body&& body, Cost&& cost = {}) {
   detail::for_each_chunked(begin, end, grain,
                            std::forward<MakeScratch>(make),
                            std::forward<Body>(body), std::forward<Cost>(cost));

@@ -27,18 +27,15 @@ using sparse::Matrix;
 using sparse::Triple;
 
 serve::AdmissionController make_ctrl(std::chrono::microseconds target,
-                                     std::uint64_t init_flops = 1u << 20,
-                                     int init_depth = 64) {
-  return serve::AdmissionController({.latency_target = target},
-                                    {init_flops, init_depth});
+                                     std::uint64_t init_flops = 1u << 20) {
+  return serve::AdmissionController({.latency_target = target}, {init_flops});
 }
 
 TEST(AdmissionController, DisabledControllerNeverMoves) {
-  auto c = make_ctrl(0us, 12345, 7);
+  auto c = make_ctrl(0us, 12345);
   EXPECT_FALSE(c.enabled());
-  c.observe(1 << 20, 10ms, 8);
+  c.observe(1 << 20, 10ms);
   EXPECT_EQ(c.limits().max_batch_flops, 12345u);
-  EXPECT_EQ(c.limits().flush_queue_depth, 7);
 }
 
 TEST(AdmissionController, ConvergesToTargetOverFlopCost) {
@@ -49,22 +46,19 @@ TEST(AdmissionController, ConvergesToTargetOverFlopCost) {
   ASSERT_TRUE(c.enabled());
   for (int i = 0; i < 64; ++i) {
     const std::uint64_t flops = 50'000;
-    c.observe(flops, std::chrono::nanoseconds(flops * 10), 10);
+    c.observe(flops, std::chrono::nanoseconds(flops * 10));
   }
   EXPECT_NEAR(c.ns_per_flop(), 10.0, 1e-9);
   EXPECT_NEAR(static_cast<double>(c.limits().max_batch_flops), 100'000.0,
               1.0);
-  // Queue depth tracks the average per-query flop mass: 5,000 flops/query
-  // ⇒ ~20 queries fill the budget.
-  EXPECT_NEAR(static_cast<double>(c.limits().flush_queue_depth), 20.0, 1.0);
 }
 
 TEST(AdmissionController, SlowerSamplesShrinkTheBudget) {
   auto fast = make_ctrl(500us);
   auto slow = make_ctrl(500us);
   for (int i = 0; i < 32; ++i) {
-    fast.observe(10'000, std::chrono::nanoseconds(10'000 * 2), 4);
-    slow.observe(10'000, std::chrono::nanoseconds(10'000 * 8), 4);
+    fast.observe(10'000, std::chrono::nanoseconds(10'000 * 2));
+    slow.observe(10'000, std::chrono::nanoseconds(10'000 * 8));
   }
   EXPECT_GT(fast.limits().max_batch_flops, slow.limits().max_batch_flops);
   // 4× the cost ⇒ ¼ the budget, exactly, at the converged estimates.
@@ -74,19 +68,18 @@ TEST(AdmissionController, SlowerSamplesShrinkTheBudget) {
 
 TEST(AdmissionController, ClampsStopRunawayAdjustment) {
   auto c = make_ctrl(1000000us);  // absurd 1 s target
-  c.observe(1 << 20, std::chrono::nanoseconds(1), 1);  // absurdly fast
+  c.observe(1 << 20, std::chrono::nanoseconds(1));  // absurdly fast
   EXPECT_LE(c.limits().max_batch_flops, (std::uint64_t{1} << 40));
   auto d = make_ctrl(1us);
   for (int i = 0; i < 8; ++i) {
-    d.observe(1 << 20, 100ms, 1);  // absurdly slow
+    d.observe(1 << 20, 100ms);  // absurdly slow
   }
   EXPECT_GE(d.limits().max_batch_flops, std::uint64_t{1} << 10);
-  EXPECT_GE(d.limits().flush_queue_depth, 1);
 }
 
 TEST(AdmissionController, TinyBatchesAreFixedCostNoiseAndIgnored) {
-  auto c = make_ctrl(1000us, 2048, 9);
-  c.observe(8, 10ms, 1);  // below min_sample_flops
+  auto c = make_ctrl(1000us, 2048);
+  c.observe(8, 10ms);  // below min_sample_flops
   EXPECT_EQ(c.ns_per_flop(), 0.0);
   EXPECT_EQ(c.limits().max_batch_flops, 2048u);
   EXPECT_EQ(c.samples(), 0u);  // a starved controller is visible
@@ -99,9 +92,9 @@ TEST(AdmissionController, PercentileTracksTheSampleDistribution) {
   // the slow one. Expected values go through the same bucket math the
   // histogram stores (1/1024 fixed point, bucket floors).
   for (int i = 0; i < 19; ++i) {
-    c.observe(10'000, std::chrono::nanoseconds(100'000), 1);  // 10 ns/flop
+    c.observe(10'000, std::chrono::nanoseconds(100'000));  // 10 ns/flop
   }
-  c.observe(10'000, std::chrono::nanoseconds(800'000), 1);  // 80 ns/flop
+  c.observe(10'000, std::chrono::nanoseconds(800'000));  // 80 ns/flop
   EXPECT_EQ(c.samples(), 20u);
   const auto floor_of = [](double ns_per_flop) {
     return static_cast<double>(util::metrics::bucket_floor(
@@ -120,17 +113,16 @@ TEST(AdmissionController, P95ModeSteersByTheTailNotTheMean) {
   // near the mix; the p95 budget prices every batch at the slow cost, so
   // the tail-aware budget is decisively smaller.
   serve::AdmissionController mean({.latency_target = 1000us, .gain = 0.25},
-                                  {1u << 20, 64});
+                                  {1u << 20});
   serve::AdmissionController tail(
-      {.latency_target = 1000us, .gain = 0.25, .use_p95 = true},
-      {1u << 20, 64});
+      {.latency_target = 1000us, .gain = 0.25, .use_p95 = true}, {1u << 20});
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 9; ++i) {
-      mean.observe(10'000, std::chrono::nanoseconds(100'000), 1);
-      tail.observe(10'000, std::chrono::nanoseconds(100'000), 1);
+      mean.observe(10'000, std::chrono::nanoseconds(100'000));
+      tail.observe(10'000, std::chrono::nanoseconds(100'000));
     }
-    mean.observe(10'000, std::chrono::nanoseconds(1'000'000), 1);
-    tail.observe(10'000, std::chrono::nanoseconds(1'000'000), 1);
+    mean.observe(10'000, std::chrono::nanoseconds(1'000'000));
+    tail.observe(10'000, std::chrono::nanoseconds(1'000'000));
   }
   // p95 of {90×10, 10×100} ns/flop is the 100 ns/flop bucket (rank 95).
   EXPECT_GE(tail.p95_ns_per_flop(), 90.0);
@@ -145,8 +137,8 @@ TEST(AdmissionController, P95ModeSteersByTheTailNotTheMean) {
 
 TEST(AdmissionController, P95ModeFallsBackToEwmaWhileStarved) {
   serve::AdmissionController c(
-      {.latency_target = 1000us, .use_p95 = true}, {1u << 20, 64});
-  c.observe(8, 10ms, 1);  // below min_sample_flops: no usable sample yet
+      {.latency_target = 1000us, .use_p95 = true}, {1u << 20});
+  c.observe(8, 10ms);  // below min_sample_flops: no usable sample yet
   EXPECT_EQ(c.samples(), 0u);
   EXPECT_EQ(c.limits().max_batch_flops, std::uint64_t{1} << 20);
 }
@@ -190,34 +182,38 @@ TEST(ExecutorAdaptive, StaticConfigKeepsLimitsFixed) {
   }
   ex.flush();
   EXPECT_EQ(ex.admission_limits().max_batch_flops, 4096u);
-  EXPECT_EQ(ex.admission_limits().flush_queue_depth, 64);
 }
 
 TEST(ExecutorAdaptive, LatencyTargetMovesLimitsAnswersUnchanged) {
+  // Sync and async: the async flusher feeds the controller from its own
+  // thread while this one submits, reads the limits and redeems tickets.
   const Index n = 256;
   const auto base = uniform_base(n);
-  serve::Executor<S> ex(base, {.latency_target = 50us});
-  std::vector<std::size_t> tickets;
-  std::vector<serve::Query<S>> qs;
-  for (int i = 0; i < 48; ++i) {
-    qs.push_back(point_query(n, 8, 100 + static_cast<std::uint64_t>(i)));
-    tickets.push_back(ex.submit(qs.back()));
+  for (const bool async : {false, true}) {
+    serve::Executor<S> ex(base, {.async = async, .latency_target = 50us});
+    std::vector<std::size_t> tickets;
+    std::vector<serve::Query<S>> qs;
+    for (int i = 0; i < 48; ++i) {
+      qs.push_back(point_query(n, 8, 100 + static_cast<std::uint64_t>(i)));
+      tickets.push_back(ex.submit(qs.back()));
+      (void)ex.admission_limits();
+    }
+    ex.flush();
+    // Bit-identical results regardless of how admission sliced the queue.
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      EXPECT_EQ(ex.wait(tickets[i]), serve::run_single(base, qs[i]))
+          << "query=" << i << " async=" << async;
+    }
+    // Sync mode flushed all 48 at once, so the controller has seen ≥ 1
+    // usable sample and the limit is derived (not the config static); async
+    // batches may all be too small to count. Either way it stays within the
+    // clamp bounds. The exact value is timing-dependent — the deterministic
+    // convergence story is the pure-controller tests above.
+    const auto lim = ex.admission_limits();
+    EXPECT_GE(lim.max_batch_flops, std::uint64_t{1} << 10);
+    EXPECT_LE(lim.max_batch_flops, std::uint64_t{1} << 40);
+    EXPECT_EQ(ex.stats().queries, qs.size());
   }
-  ex.flush();
-  // The controller has seen ≥ 1 usable sample, so the limits are derived
-  // (not the config statics) and stay within the clamp bounds. The exact
-  // value is timing-dependent — the deterministic convergence story is the
-  // pure-controller tests above.
-  const auto lim = ex.admission_limits();
-  EXPECT_GE(lim.max_batch_flops, std::uint64_t{1} << 10);
-  EXPECT_LE(lim.max_batch_flops, std::uint64_t{1} << 40);
-  EXPECT_GE(lim.flush_queue_depth, 1);
-  // Bit-identical results regardless of how admission sliced the queue.
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(ex.wait(tickets[i]), serve::run_single(base, qs[i]))
-        << "query=" << i;
-  }
-  EXPECT_EQ(ex.stats().queries, qs.size());
 }
 
 TEST(ExecutorAdaptive, AdmissionStateIsExportedAsGauges) {
@@ -236,8 +232,6 @@ TEST(ExecutorAdaptive, AdmissionStateIsExportedAsGauges) {
   const auto lim = ex.admission_limits();
   EXPECT_EQ(reg.gauge_value("serve.admission.max_batch_flops"),
             static_cast<double>(lim.max_batch_flops));
-  EXPECT_EQ(reg.gauge_value("serve.admission.flush_queue_depth"),
-            static_cast<double>(lim.flush_queue_depth));
   // The sample-count gauge makes a starved controller visible; here the
   // batches were big enough to count.
   EXPECT_GE(reg.gauge_value("serve.admission.samples"), 1.0);
@@ -270,15 +264,11 @@ TEST(ExecutorAdaptive, ShardedRouterExportsOneGaugeSetPerShard) {
     EXPECT_EQ(reg.gauge_value(prefix + "max_batch_flops"),
               static_cast<double>(lim.max_batch_flops))
         << prefix;
-    EXPECT_EQ(reg.gauge_value(prefix + "flush_queue_depth"),
-              static_cast<double>(lim.flush_queue_depth))
-        << prefix;
   }
   // The four sets are distinct registry entries, not one shared set: the
   // legacy unscoped names were never touched by the router (reset to 0
   // above, still 0 now).
   EXPECT_EQ(reg.gauge_value("serve.admission.max_batch_flops"), 0.0);
-  EXPECT_EQ(reg.gauge_value("serve.admission.flush_queue_depth"), 0.0);
 }
 
 }  // namespace

@@ -482,7 +482,6 @@ typename serve::ResultCache<Sr>::Stats fuzz_run(int n_shards, bool async,
   cfg.n_shards = n_shards;
   cfg.executor.cache_bytes = cache_bytes;
   cfg.executor.async = async;
-  cfg.executor.flush_queue_depth = 3;
   serve::Router<Sr> cached(base, cfg);
   auto ucfg = cfg;
   ucfg.executor.cache_bytes = 0;

@@ -466,8 +466,6 @@ void epoch_bit_identity_sweep(Index n, std::uint64_t seed, Gen&& entry) {
       for (const int shards : {1, 3}) {
         typename serve::Router<Sr>::Config cfg;
         cfg.executor.async = async;
-        cfg.executor.flush_queue_depth = 4;
-        cfg.executor.flush_interval = std::chrono::milliseconds(1);
         cfg.executor.delta = {.delta_buffer = 16, .delta_fanout = 2};
         if (shards > 1) {
           cfg.cuts = {0, n / 4, n / 2, n};  // uneven on purpose
@@ -557,8 +555,6 @@ TEST(DeltaServe, AsyncMutationQueryInterleavingStress) {
 
   serve::Executor<S> ex(
       base, {.async = true,
-             .flush_queue_depth = 4,
-             .flush_interval = std::chrono::milliseconds(1),
              .delta = {.delta_buffer = 16,
                        .delta_fanout = 2,
                        .compact_threshold = 32,

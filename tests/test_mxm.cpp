@@ -11,6 +11,7 @@
 #include "sparse/mxm.hpp"
 #include "sparse/transpose.hpp"
 #include "util/generators.hpp"
+#include "util/metrics.hpp"
 
 namespace {
 
@@ -151,6 +152,37 @@ TEST(Mxm, MaxMinComputesBottleneckPaths) {
                                   {3, 2, 9.0}});
   const auto c = mxm<MM>(a, a);
   EXPECT_EQ(c.get(0, 2), 2.0);
+}
+
+TEST(Mxm, AutoPicksByLaunchSize) {
+  // kAuto sizes the accumulator to the launch: the dense scratch only when
+  // the estimated flops (nnz(A) × the mean stored B-row length) reach
+  // kAutoDenseFlopsPerColumn · ncols(B), the flat hash below that. On both
+  // sides of the rule kAuto's bytes equal both forced strategies', and the
+  // invariant launch counters show which accumulator actually ran.
+  namespace m = util::metrics;
+  const Index w = 1024;
+  const auto B = random_matrix(256, w, 256 * 8, 7);      // ~8 per row
+  const auto small = random_matrix(4, 256, 8, 8);        // est ≈ 64 flops
+  const auto large = random_matrix(512, 256, 1024, 9);   // est ≈ 8k flops
+  const detail::BaseView<double> bv(B);
+  ASSERT_EQ(detail::auto_strategy(small, bv), MxmStrategy::kHash);
+  ASSERT_EQ(detail::auto_strategy(large, bv), MxmStrategy::kGustavson);
+  if (m::kCompiledIn) m::set_enabled(true);
+  auto& reg = m::Registry::instance();
+  for (const auto* A : {&small, &large}) {
+    const bool dense = A == &large;
+    const auto g0 = reg.counter_value("mxm.launches.gustavson");
+    const auto h0 = reg.counter_value("mxm.launches.hash");
+    const auto c = mxm<S>(*A, B, MxmStrategy::kAuto);
+    if (m::kCompiledIn) {
+      EXPECT_EQ(reg.counter_value("mxm.launches.gustavson") - g0,
+                dense ? 1u : 0u);
+      EXPECT_EQ(reg.counter_value("mxm.launches.hash") - h0, dense ? 0u : 1u);
+    }
+    EXPECT_TRUE(c == mxm<S>(*A, B, MxmStrategy::kGustavson)) << dense;
+    EXPECT_TRUE(c == mxm<S>(*A, B, MxmStrategy::kHash)) << dense;
+  }
 }
 
 TEST(Mxm, UnionIntersectRelationalComposition) {

@@ -101,7 +101,6 @@ void expect_async_equals_sync(std::uint64_t seed, Gen&& entry) {
   typename serve::Executor<Sr>::Config cfg;
   cfg.max_batch_queries = 5;
   cfg.async = true;
-  cfg.flush_queue_depth = 7;
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
     // One async executor per base; submissions interleave across both.
@@ -152,42 +151,20 @@ TEST(ExecutorAsync, SetSemiringMatchesSyncAllThreadCounts) {
       });
 }
 
-TEST(ExecutorAsync, QueueDepthTriggerFlushesWithoutWait) {
-  // Queue depth 4 with a long deadline: submitting 8 queries must resolve
-  // them without anyone calling wait()/flush() — the background trigger
-  // does it. poll() observes settled results without blocking.
-  const auto base = uniform_base(64);
-  // The interval is a fallback only: with depth 4 the trigger fires twice
-  // over 8 submits, and any straggler submitted after a drain completes is
-  // caught by the deadline rather than hanging the poll loop.
-  serve::Executor<S> ex(base, {.async = true,
-                               .flush_queue_depth = 4,
-                               .flush_interval =
-                                   std::chrono::milliseconds(100)});
-  std::vector<std::size_t> tickets;
-  for (int i = 0; i < 8; ++i) {
-    tickets.push_back(ex.submit(point_query(
-        64, 4, 100 + static_cast<std::uint64_t>(i))));
-  }
-  // Every ticket must eventually settle via the background thread alone.
-  for (const auto t : tickets) {
-    while (ex.poll(t) == nullptr) std::this_thread::yield();
-    EXPECT_NE(ex.poll(t), nullptr);
-  }
-  EXPECT_EQ(ex.stats().queries, 8u);
-}
-
-TEST(ExecutorAsync, TimerDeadlineFlushesASingleQuery) {
-  // One lone query, depth trigger unreachable: the interval deadline must
-  // flush it without an explicit wait()/flush().
+TEST(ExecutorAsync, IdleFlusherLaunchesALonePolledQuery) {
+  // Work-conserving flush: an idle flusher launches as soon as anything is
+  // queued. One lone query, and nothing calls wait() or flush() — poll()
+  // alone must see it settle, with no timer to wait out. A second query
+  // submitted after the first settled finds the flusher idle again.
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base, {.async = true,
-                               .flush_queue_depth = 1000,
-                               .flush_interval =
-                                   std::chrono::milliseconds(1)});
-  const auto t = ex.submit(point_query(32, 4, 7));
-  while (ex.poll(t) == nullptr) std::this_thread::yield();
-  EXPECT_EQ(*ex.poll(t), serve::run_single(base, point_query(32, 4, 7)));
+  serve::Executor<S> ex(base, {.async = true});
+  for (const std::uint64_t seed : {7u, 8u}) {
+    const auto t = ex.submit(point_query(32, 4, seed));
+    while (ex.poll(t) == nullptr) std::this_thread::yield();
+    EXPECT_EQ(*ex.poll(t), serve::run_single(base, point_query(32, 4, seed)));
+    EXPECT_EQ(ex.pending(), 0u);
+  }
+  EXPECT_EQ(ex.stats().queries, 2u);
 }
 
 TEST(ExecutorAsync, ResultLivenessAcrossDequeGrowthUnderConcurrentSubmits) {
@@ -196,7 +173,7 @@ TEST(ExecutorAsync, ResultLivenessAcrossDequeGrowthUnderConcurrentSubmits) {
   // unchanged) across concurrent submit()-driven deque growth.
   const Index n = 32;
   const auto base = uniform_base(n);
-  serve::Executor<S> ex(base, {.async = true, .flush_queue_depth = 8});
+  serve::Executor<S> ex(base, {.async = true});
   const auto q0 = point_query(n, 4, 11);
   const auto t0 = ex.submit(q0);
   const auto& r0 = ex.wait(t0);
@@ -220,12 +197,11 @@ TEST(ExecutorAsync, ResultLivenessAcrossDequeGrowthUnderConcurrentSubmits) {
 // Shutdown / drain protocol.
 
 TEST(ExecutorAsync, ShutdownDrainsQueuedButUnflushedTickets) {
+  // Whatever the flusher has not launched by shutdown() is drained there;
+  // either way every ticket settles with its exact answer.
   const auto base = uniform_base(48);
   std::vector<std::size_t> tickets;
-  serve::Executor<S> ex(base, {.async = true,
-                               .flush_queue_depth = 1000,
-                               .flush_interval = std::chrono::milliseconds(
-                                   60000)});
+  serve::Executor<S> ex(base, {.async = true});
   for (int i = 0; i < 6; ++i) {
     tickets.push_back(ex.submit(point_query(
         48, 4, 300 + static_cast<std::uint64_t>(i))));
@@ -242,16 +218,12 @@ TEST(ExecutorAsync, ShutdownDrainsQueuedButUnflushedTickets) {
 }
 
 TEST(ExecutorAsync, ShutdownWithoutDrainDropsTickets) {
+  // The drop assertions need a ticket that is provably unflushed at
+  // shutdown, which only the synchronous engine can hold: an async flusher
+  // launches whatever is queued (see ShutdownWithoutDrainSettlesOrThrows).
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base, {.async = true,
-                               .flush_queue_depth = 1000,
-                               .flush_interval = std::chrono::milliseconds(
-                                   60000)});
+  serve::Executor<S> ex(base);
   const auto resolved = ex.submit(point_query(32, 4, 21));
-  // Drain synchronously on this thread: wait() would leave the background
-  // drain loop still sweeping, and it could legally pick up the next
-  // submit before shutdown. flush() returns only once the drain is done
-  // and nothing re-triggers the idle flusher afterwards.
   ex.flush();
   ASSERT_NE(ex.poll(resolved), nullptr);  // settled — must survive shutdown
   const auto dropped = ex.submit(point_query(32, 4, 22));
@@ -261,11 +233,34 @@ TEST(ExecutorAsync, ShutdownWithoutDrainDropsTickets) {
   EXPECT_THROW((void)ex.wait(dropped), std::runtime_error);
 }
 
+TEST(ExecutorAsync, ShutdownWithoutDrainSettlesOrThrows) {
+  // Async flavour: a non-draining shutdown races the work-conserving
+  // flusher, so each ticket either settled (its answer is exact) or was
+  // dropped (wait() throws). Neither path may hang.
+  const auto base = uniform_base(32);
+  serve::Executor<S> ex(base, {.async = true});
+  std::vector<std::size_t> tickets;
+  for (int i = 0; i < 16; ++i) {
+    tickets.push_back(
+        ex.submit(point_query(32, 4, 40 + static_cast<std::uint64_t>(i))));
+  }
+  ex.shutdown(false);
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const auto* r = ex.poll(tickets[i]);
+    if (r != nullptr) {
+      EXPECT_EQ(*r, serve::run_single(base, point_query(
+                        32, 4, 40 + static_cast<std::uint64_t>(i))));
+      EXPECT_EQ(&ex.wait(tickets[i]), r);
+    } else {
+      EXPECT_THROW((void)ex.wait(tickets[i]), std::runtime_error);
+    }
+  }
+}
+
 TEST(ExecutorAsync, DestructorDrainsWithoutExplicitShutdown) {
   const auto base = uniform_base(32);
   {
-    serve::Executor<S> ex(base, {.async = true,
-                                 .flush_queue_depth = 1000});
+    serve::Executor<S> ex(base, {.async = true});
     ex.submit(point_query(32, 4, 31));
     ex.submit(point_query(32, 4, 32));
     // No wait, no flush, no shutdown: the destructor must retire the flush

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "db/planner.hpp"
@@ -228,10 +229,7 @@ void expect_router_equals_unsharded(Index n, std::uint64_t seed, Gen&& entry,
       ThreadGuard guard(nt);
       typename serve::Router<Sr>::Config cfg;
       cfg.n_shards = shards;
-      if (async) {
-        cfg.executor.async = true;
-        cfg.executor.flush_queue_depth = 3;
-      }
+      cfg.executor.async = async;
       serve::Router<Sr> router(base, cfg);
       std::vector<std::size_t> tickets;
       for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -332,6 +330,33 @@ TEST(RouterEdgeCases, StraddlingPointQueriesMergeOnce) {
   EXPECT_EQ(rs.straddling, 1u);
   EXPECT_EQ(rs.merges, 1u);
   EXPECT_EQ(rs.stage_submits, 4u);  // 1 + 1 + 2
+}
+
+TEST(RouterEdgeCases, AsyncStraddlingReadSettlesUnderPollAlone) {
+  // Work-conserving shard flushers: a straddling read settles with the
+  // caller only spinning on poll() — no wait(), no flush(). Each poll that
+  // sees stage 0 settled submits stage 1, and shard 1's idle flusher
+  // launches it at once. Reads go one at a time, so every stage is a lone
+  // query on an otherwise idle shard.
+  const Index n = 32;
+  const auto base = random_matrix<S>(n, 24, 300, 43, dbl_entry);
+  typename serve::Router<S>::Config cfg;
+  cfg.cuts = {0, 16, 32};
+  cfg.executor.async = true;
+  serve::Router<S> router(base, cfg);
+  for (int i = 0; i < 4; ++i) {
+    const auto q = serve::Query<S>::analytic(
+        Matrix<double>::from_unique_triples(
+            1, n, {{0, 15 - i, 2.5}, {0, 16 + i, 0.5}}));
+    const auto t = router.submit(q);
+    const sparse::Matrix<double>* r = nullptr;
+    while ((r = router.poll(t)) == nullptr) std::this_thread::yield();
+    EXPECT_EQ(*r, serve::run_single(base, q)) << "read=" << i;
+  }
+  const auto rs = router.router_stats();
+  EXPECT_EQ(rs.straddling, 4u);
+  EXPECT_EQ(rs.merges, 4u);
+  EXPECT_EQ(router.pending(), 0u);
 }
 
 TEST(RouterEdgeCases, EmptyAndSingleRowShards) {
@@ -648,8 +673,7 @@ TEST(Router, ShutdownDrainsChains) {
     qs.push_back(serve::Query<S>::analytic(random_matrix<S>(
         1, n, 6, 100 + static_cast<std::uint64_t>(i), dbl_entry)));
   }
-  serve::Router<S> router(base, {.executor = {.async = true,
-                                              .flush_queue_depth = 1000},
+  serve::Router<S> router(base, {.executor = {.async = true},
                                  .n_shards = 2});
   std::vector<std::size_t> tickets;
   for (const auto& q : qs) tickets.push_back(router.submit(q));

@@ -57,9 +57,13 @@ REQUIRED_ROW_PREFIXES = {
         "bm_serve_latency/",
         "bm_serve_telemetry_overhead/",
         "bm_serve_cache/",
+        "bm_router_empty_flush/",
     ],
     "BENCH_parallel.json": [
         "bm_steal_skew/",
+    ],
+    "BENCH_spgemm.json": [
+        "bm_auto_launch_size/",
     ],
 }
 
