@@ -7,7 +7,7 @@
 #     probe, kAuto's launch-size rule)
 #   BENCH_serve.json    — serving-throughput sweep (K=1/8/64 queries,
 #     batched block-diagonal serving vs per-query dispatch, sync + async
-#     executor paths, one run_batch per base vs per-query dispatch over
+#     1-shard router paths, one run_batch per base vs per-query dispatch over
 #     four bases, the router's empty-flush cost, and the result-cache
 #     on/off Zipf-repeat rows)
 # Used locally via the `run_benches` CMake target and in CI, where the

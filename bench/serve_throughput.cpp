@@ -8,7 +8,6 @@
 
 #include <iostream>
 
-#include "serve/executor.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
 #include "serve/trace.hpp"
@@ -175,36 +174,39 @@ BENCHMARK(bm_serve)
     ->Args({64, 1, 1});
 
 void bm_serve_executor(benchmark::State& state) {
-  // The full executor path: submit K queries, flush, read one result —
-  // measures queue + admission overhead on top of the coalesced launch.
+  // The full engine path through a 1-shard Router: submit K queries,
+  // flush, read one result — measures validation, the router's per-query
+  // chain record, and the shard worker's queue + admission overhead on top
+  // of the coalesced launch.
   const int k = static_cast<int>(state.range(0));
   const Index n = 4096;
   auto base = er_matrix(n, static_cast<std::size_t>(n) * 16, 1);
   const auto qs = make_queries(0, k, n, 4);
   for (auto _ : state) {
-    serve::Executor<S> ex(base);
+    serve::Router<S> ex(base);
     std::size_t last = 0;
     for (const auto& q : qs) last = ex.submit(q);
     benchmark::DoNotOptimize(ex.wait(last));
   }
   state.counters["queries_per_s"] = benchmark::Counter(
       static_cast<double>(k), benchmark::Counter::kIsIterationInvariantRate);
-  state.SetLabel("executor submit+flush, K=" + std::to_string(k));
+  state.SetLabel("1-shard router submit+flush, K=" + std::to_string(k));
 }
 BENCHMARK(bm_serve_executor)->Arg(8)->Arg(64);
 
 void bm_serve_executor_async(benchmark::State& state) {
-  // Async executor: the work-conserving background thread launches while
-  // the caller submits (whatever queues during a launch is the next
-  // batch), then every ticket is awaited. Measures the futures
-  // round trip (submit → background coalesced launch → wait) against the
-  // synchronous path above; answers are bit-identical by contract.
+  // Async 1-shard Router: the shard worker's work-conserving background
+  // thread launches while the caller submits (whatever queues during a
+  // launch is the next batch), then every ticket is awaited. Measures the
+  // futures round trip (submit → background coalesced launch → wait)
+  // against the synchronous path above; answers are bit-identical by
+  // contract.
   const int k = static_cast<int>(state.range(0));
   const Index n = 4096;
   auto base = er_matrix(n, static_cast<std::size_t>(n) * 16, 1);
   const auto qs = make_queries(0, k, n, 4);
   for (auto _ : state) {
-    serve::Executor<S> ex(base, {.async = true});
+    serve::Router<S> ex(base, {.executor = {.async = true}});
     std::vector<std::size_t> tickets;
     tickets.reserve(qs.size());
     for (const auto& q : qs) tickets.push_back(ex.submit(q));
@@ -212,7 +214,7 @@ void bm_serve_executor_async(benchmark::State& state) {
   }
   state.counters["queries_per_s"] = benchmark::Counter(
       static_cast<double>(k), benchmark::Counter::kIsIterationInvariantRate);
-  state.SetLabel("async executor submit+wait, K=" + std::to_string(k));
+  state.SetLabel("async 1-shard router submit+wait, K=" + std::to_string(k));
 }
 BENCHMARK(bm_serve_executor_async)->Arg(8)->Arg(64);
 
@@ -267,8 +269,8 @@ BENCHMARK(bm_serve_multibase)
 
 void bm_serve_sharded(benchmark::State& state) {
   // Sharded vs unsharded serving: K queries through a Router over N
-  // row-range shards (N=1 is the unsharded executor path, verbatim — the
-  // baseline row). The point mix draws 4 random keys per query, so at
+  // row-range shards (N=1 is the unsharded engine — the baseline row).
+  // The point mix draws 4 random keys per query, so at
   // N>1 nearly every query straddles shards — the worst case for the
   // scatter + carry-merge machinery, which the straddling_merges counter
   // makes visible; the sharded win on multi-core runners is per-shard
@@ -342,7 +344,7 @@ void bm_serve_mixed_rw(benchmark::State& state) {
   // interleaves K point queries with M mutation batches (32 updates each,
   // 3:1 assigns to erases) against a live delta base, then redeems every
   // ticket. Arg0 = K (query rate per tick), Arg1 = M (mutation rate per
-  // tick), Arg2 = shard count (1 = plain executor path). The M=0 rows are
+  // tick), Arg2 = shard count (1 = the unsharded engine). The M=0 rows are
   // the read-only baseline; the grid shows what live writes cost the read
   // path (delta-overlay probes) at each rate.
   const int k = static_cast<int>(state.range(0));
@@ -403,7 +405,7 @@ BENCHMARK(bm_serve_mixed_rw)
     ->Args({64, 4, 4});
 
 void bm_serve_latency(benchmark::State& state) {
-  // End-to-end query latency through the async executor, reported as
+  // End-to-end query latency through the async 1-shard Router, reported as
   // nearest-rank percentiles from the process-wide telemetry histogram
   // (serve.query_latency_ns: submit enqueue → result settled). These are
   // the BENCH_serve.json tail-latency rows the SLO story reads; the
@@ -415,7 +417,7 @@ void bm_serve_latency(benchmark::State& state) {
   util::metrics::set_enabled(true);
   util::metrics::Registry::instance().reset_values();
   for (auto _ : state) {
-    serve::Executor<S> ex(base, {.async = true});
+    serve::Router<S> ex(base, {.executor = {.async = true}});
     std::vector<std::size_t> tickets;
     tickets.reserve(qs.size());
     for (const auto& q : qs) tickets.push_back(ex.submit(q));
@@ -430,13 +432,15 @@ void bm_serve_latency(benchmark::State& state) {
   }
   state.counters["queries_per_s"] = benchmark::Counter(
       static_cast<double>(k), benchmark::Counter::kIsIterationInvariantRate);
-  state.SetLabel("async executor tail latency, K=" + std::to_string(k));
+  state.SetLabel("async 1-shard router tail latency, K=" +
+                 std::to_string(k));
 }
 BENCHMARK(bm_serve_latency)->Arg(8)->Arg(64);
 
 void bm_serve_telemetry_overhead(benchmark::State& state) {
   // The telemetry guardrail: the same synchronous submit+flush+wait
-  // workload with telemetry fully off (Arg 0), counters/histograms only
+  // workload through a 1-shard Router with telemetry fully off (Arg 0),
+  // counters/histograms only
   // (Arg 1), and full per-query tracing (Arg 2). Row 0 vs row 1 is the
   // always-on production cost and must stay in the noise; row 2 prices the
   // clock reads + ring appends tracing adds per query.
@@ -449,7 +453,7 @@ void bm_serve_telemetry_overhead(benchmark::State& state) {
   serve::trace::Tracer::instance().configure(
       {.enabled = mode >= 2, .sample_every = 1});
   for (auto _ : state) {
-    serve::Executor<S> ex(base);
+    serve::Router<S> ex(base);
     std::vector<std::size_t> tickets;
     tickets.reserve(qs.size());
     for (const auto& q : qs) tickets.push_back(ex.submit(q));

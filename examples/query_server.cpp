@@ -2,8 +2,8 @@
 // millions-of-concurrent-users loop in miniature.
 //
 // A follower graph is the shared base array, partitioned by the shard map
-// into four row-range shards, each owned by its own executor with its own
-// background flush thread and admission budget. Three tenants (a
+// into four row-range shards, each served by its own shard worker with its
+// own background flush thread and admission budget. Three tenants (a
 // recommender, a feed filter, and a profile service) issue neighbor
 // expansions (analytic), filtered expansions (fused output masks, both
 // senses), and profile lookups (select) — and between traffic ticks the
@@ -12,10 +12,10 @@
 //
 // Everything below the construction line drives the engine through ONE
 // interface: serve::Service<S> — submit / mutate / wait / poll / flush /
-// shutdown / stats. The traffic loop takes a Service& and never learns it
-// is talking to a sharded router; swap in a plain Executor and the same
-// code runs unchanged (and answers bit-identically, per the Service
-// contract). Nobody calls flush(): each shard flush thread launches as
+// shutdown / stats. The traffic loop takes a Service& and never learns how
+// many shards serve it; build the router with one shard and the same code
+// runs unchanged (and answers bit-identically, per the Service contract).
+// Nobody calls flush(): each shard flush thread launches as
 // soon as its queue is non-empty, and whatever queues during a launch is
 // coalesced into the next one — ONE block-diagonal masked product per
 // batch under the admission policy. Callers

@@ -41,34 +41,9 @@ bool batchable(const AssocArray<S>& base, const BatchQuery<S>& q) {
   return key_union(q.lhs.col_keys(), base.row_keys()) == base.row_keys();
 }
 
-namespace detail {
-
-/// The one BatchQuery → serve::Query realignment, shared by both
-/// array-level batch paths (mtimes_batched, ShardedServer::submit): the
-/// realignments per-query mtimes / mtimes_masked would perform, in the
-/// coordinates of a base with key spaces (rows, cols). Throws unless the
-/// query is batchable against those row keys.
-template <semiring::Semiring S>
-serve::Query<S> realign_query(const KeySet& rows, const KeySet& cols,
-                              const BatchQuery<S>& q) {
-  if (key_union(q.lhs.col_keys(), rows) != rows) {
-    throw std::invalid_argument(
-        "array batch: query inner keys outside base row keys");
-  }
-  serve::Query<S> sq;
-  sq.lhs = q.lhs.realign(q.lhs.row_keys(), rows).matrix();
-  if (q.mask) {
-    sq.kind = serve::QueryKind::kMtimesMasked;
-    sq.mask = q.mask->realign(q.lhs.row_keys(), cols).matrix();
-    sq.desc = q.desc;
-  }
-  return sq;
-}
-
-}  // namespace detail
-
 /// Execute every query against `base` as one coalesced launch. All queries
-/// must be batchable(); results come back in submission order, each
+/// must be batchable() — an unbatchable one throws std::invalid_argument
+/// before anything runs; results come back in submission order, each
 /// entry-identical to mtimes / mtimes_masked run alone. The span-of-
 /// pointers overload is the core (callers that route a larger query list —
 /// db::planned_batch — coalesce a subset without copying any operand).
@@ -77,10 +52,23 @@ std::vector<AssocArray<S>> mtimes_batched(
     const AssocArray<S>& base,
     std::span<const BatchQuery<S>* const> queries,
     serve::ServeStats* stats = nullptr) {
+  const KeySet& rows = base.row_keys();
   std::vector<serve::Query<S>> qs;
   qs.reserve(queries.size());
   for (const auto* q : queries) {
-    qs.push_back(detail::realign_query(base.row_keys(), base.col_keys(), *q));
+    // The realignments per-query mtimes / mtimes_masked would perform, in
+    // the base's coordinates.
+    if (key_union(q->lhs.col_keys(), rows) != rows) {
+      throw std::invalid_argument(
+          "array batch: query inner keys outside base row keys");
+    }
+    auto& sq = qs.emplace_back();
+    sq.lhs = q->lhs.realign(q->lhs.row_keys(), rows).matrix();
+    if (q->mask) {
+      sq.kind = serve::QueryKind::kMtimesMasked;
+      sq.mask = q->mask->realign(q->lhs.row_keys(), base.col_keys()).matrix();
+      sq.desc = q->desc;
+    }
   }
   auto rs = serve::run_batch<S>(base.matrix(), qs, sparse::MxmStrategy::kAuto,
                                 stats);

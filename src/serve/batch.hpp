@@ -17,7 +17,7 @@
 //             slices (detail::run_stacked).
 //
 // Every entry point serves one base: a caller with several bases makes one
-// run_batch call (or runs one Executor) per base.
+// run_batch call (or runs one serving engine) per base.
 //
 // Determinism contract: the driver computes each stacked row with exactly
 // the accumulation the per-query kernel would run (same B rows, same mask
@@ -95,9 +95,9 @@ struct Query {
   /// and stays bit-identical to one unsharded launch (floats included).
   /// Carry entries are never mask-probed and add no flops to the stats.
   std::optional<sparse::Matrix<T>> carry;
-  /// Life-of-a-query trace id (serve/trace.hpp). 0 = untraced. Executors
-  /// draw one from Tracer::sample() at submit when the caller left it 0;
-  /// the router propagates it into every per-shard sub-query. Purely
+  /// Life-of-a-query trace id (serve/trace.hpp). 0 = untraced. The router
+  /// draws one from Tracer::sample() at submit when the caller left it 0
+  /// and propagates it into every per-shard sub-query. Purely
   /// observational — results are bit-identical for any value.
   std::uint64_t trace = 0;
   /// Opt this query out of the serve-layer result cache (serve/cache.hpp):
@@ -363,7 +363,7 @@ sparse::Matrix<typename S::value_type> run_single(
 /// BaseView span-of-pointers overload is the core — callers that route a
 /// larger query list (db::planned_batch via the array layer) coalesce a
 /// subset without copying any operand, and a delta snapshot's patched base
-/// (DeltaSnapshot::base_view — the Executor's flush path) serves through
+/// (DeltaSnapshot::base_view — a shard worker's flush path) serves through
 /// the identical path.
 template <semiring::Semiring S>
 std::vector<sparse::Matrix<typename S::value_type>> run_batch(

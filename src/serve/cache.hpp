@@ -37,9 +37,9 @@
 //    valid — and as invalidatable — as any other answer.
 //  - **Carries bypass.** A query with a fold carry depends on state
 //    outside the key, so it neither probes nor installs. The router's
-//    straddling chain stages all carry (and its shard executors run with
-//    the cache forced off), so chains bypass per-stage; the router caches
-//    the gathered final answer under its own logical epoch.
+//    straddling chain stages all carry and its shard workers hold no
+//    cache, so chains bypass per-stage; the router caches the gathered
+//    final answer under its own logical epoch.
 //
 // Concurrency: one internal mutex. Probes and installs are called from
 // engine submit/settle paths that hold no cache-relevant locks, so the

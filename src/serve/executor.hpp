@@ -1,11 +1,15 @@
 #pragma once
-// Executor — the serving loop's front door over run_batch.
+// Executor — the per-shard worker behind serve::Router (serve/router.hpp).
 //
-// Queries are submitted against the one base matrix the executor owns,
-// tagged with a tenant id, and queued per tenant. A flush drains the
-// queues into coalesced batches under the admission policy and runs each
-// batch as one coalesced run_batch launch against the base snapshot
-// pinned at flush:
+// The Router is the one serving engine (the serve::Service); each of its
+// N ≥ 1 row shards is one Executor: per-tenant queues, the admission
+// policy, an optional background flush thread and the shard's DeltaBase.
+// Validation, trace sampling, the result cache and the logical query and
+// mutation counts live once, in the Router; an Executor only ever sees
+// sub-queries the Router has already validated and translated into the
+// shard's local coordinates. A flush drains the queues into coalesced
+// batches under the admission policy and runs each batch as one coalesced
+// run_batch launch against the base snapshot pinned at flush:
 //
 //   * max_batch_queries  — close a batch after this many queries (bounds
 //     result latency and stacked-operand size);
@@ -25,19 +29,17 @@
 // do it). Async mode (`Config.async`): a dedicated background thread is
 // work-conserving — it launches as soon as its queue is non-empty, and
 // whatever arrives during a launch becomes the next batch, so batches grow
-// with load by themselves and a lone query never waits on a timer. Callers
-// submit() and later wait()/poll() a ticket — results are futures backed
-// by the ticketed deque. shutdown() (also run by the destructor) retires
-// the flush thread and, by default, drains every queued-but-unflushed
-// ticket.
+// with load by themselves and a lone query never waits on a timer. Tickets
+// settle into a deque, so a settled result never moves. shutdown() (also
+// run by the destructor) retires the flush thread and, by default, drains
+// every queued-but-unflushed ticket.
 //
-// The base is updatable (sparse/delta.hpp): mutate(tenant, ops) applies
-// an UpdateBatch to the base's delta and publishes the next epoch. Every
+// The shard's base is updatable (sparse/delta.hpp): mutate(ops) applies an
+// UpdateBatch to the base's delta and publishes the next epoch. Every
 // flushed batch pins the base snapshot FIRST, then runs — so an in-flight
 // batch finishes on the epoch it started on while later submits see the
 // new one, and a query's answer is always bit-identical to a from-scratch
-// rebuild of the base at that epoch. A caller with several bases runs one
-// Executor per base.
+// rebuild of the base at that epoch.
 //
 // Whatever the mode, batch boundaries, tenant mix, flush timing, and
 // thread count NEVER change an answer: every result is bit-identical to
@@ -61,8 +63,7 @@
 
 #include "serve/admission.hpp"
 #include "serve/batch.hpp"
-#include "serve/cache.hpp"
-#include "serve/service.hpp"
+#include "serve/service.hpp"  // TenantId
 #include "serve/trace.hpp"
 #include "util/metrics.hpp"
 
@@ -71,14 +72,16 @@ namespace hyperspace::serve {
 /// Per-tenant split of the serving accounting. queries/rows/flops are
 /// exact and independent of flush timing and thread count; batches and
 /// deferrals describe how admission actually sliced the queue (they depend
-/// on flush timing in async mode).
+/// on flush timing in async mode). An Executor fills the execution fields;
+/// the Router adds mutations and the cache split, which it counts once per
+/// logical call.
 struct TenantStats {
   std::uint64_t queries = 0;    ///< queries executed for this tenant
   std::uint64_t rows = 0;       ///< lhs rows executed
   std::uint64_t flops = 0;      ///< exact flops admitted (Σ base-row lengths)
   std::uint64_t batches = 0;    ///< batches this tenant participated in
   std::uint64_t deferrals = 0;  ///< batches where the quota deferred this tenant
-  std::uint64_t mutations = 0;  ///< mutation batches this tenant applied
+  std::uint64_t mutations = 0;  ///< logical mutation batches applied
   /// Result-cache split (serve/cache.hpp). A cache hit settles at submit
   /// and never executes, so it counts here and NOT in queries/rows/flops
   /// — those describe work the kernels actually did.
@@ -88,7 +91,7 @@ struct TenantStats {
 };
 
 template <semiring::Semiring S>
-class Executor : public Service<S> {
+class Executor {
   using T = typename S::value_type;
 
  public:
@@ -112,30 +115,22 @@ class Executor : public Service<S> {
     /// instead of the EWMA mean (see AdmissionController::Config::use_p95).
     /// Only meaningful with latency_target set.
     bool admission_use_p95 = false;
-    /// Draw a trace id at submit for queries that arrive without one
-    /// (serve/trace.hpp sampling). The sharded router disables this on its
-    /// shard executors so each top-level query is sampled exactly once, at
-    /// the router.
-    bool trace_sampling = true;
     /// Delta-base tuning (buffer size, cascade fanout, compaction
     /// threshold, background compactor).
     sparse::DeltaConfig delta{};
-    /// Result-cache byte budget (serve/cache.hpp); 0 (default) disables
-    /// caching. Entries are keyed on the base epoch, so mutate()
-    /// invalidates without flushing.
+    /// The Router's result-cache byte budget (serve/cache.hpp); 0 (default)
+    /// disables caching. Entries are keyed on the Router's epoch, so a
+    /// mutate() invalidates without flushing. The shard worker ignores it.
     std::size_t cache_bytes = 0;
     /// Cache empty answers too (negative entries). Only meaningful with
     /// cache_bytes > 0.
     bool cache_negative = true;
-    /// Metric-name infix for this executor's admission gauges:
-    /// "serve.admission.<scope>max_batch_flops" etc. Empty (default) for
-    /// a standalone executor; the sharded router sets "shard<N>." on each
-    /// shard executor so the N gauge sets never collide.
-    std::string gauge_scope;
   };
 
-  explicit Executor(sparse::Matrix<T> base, Config cfg = {})
-      : cfg_(cfg), cache_({cfg.cache_bytes, cfg.cache_negative}) {
+  /// Serve `base` as shard `shard` of its Router; the index names this
+  /// worker's admission gauges ("serve.admission.shard<N>.*").
+  Executor(sparse::Matrix<T> base, const Config& cfg, std::size_t shard)
+      : cfg_(cfg), shard_(shard) {
     if (cfg_.max_batch_queries < 1) {
       throw std::invalid_argument("Executor: max_batch_queries must be >= 1");
     }
@@ -170,19 +165,14 @@ class Executor : public Service<S> {
   /// The base's compacted main matrix (the delta is not folded in). The
   /// reference is valid until the base's next compaction.
   const sparse::Matrix<T>& base() const { return base_->main_matrix(); }
-  /// The base's delta wrapper — snapshot()/epoch()/compact() live there.
-  sparse::DeltaBase<S>& delta_base() { return *base_; }
+  /// The base's delta wrapper — snapshot()/epoch()/compactions() live there.
   const sparse::DeltaBase<S>& delta_base() const { return *base_; }
-  const Config& config() const { return cfg_; }
 
-  /// Aggregate accounting snapshot (safe against a concurrent flush).
-  ServeStats stats() const override {
+  /// Execution accounting snapshot (safe against a concurrent flush).
+  ServeStats stats() const {
     std::lock_guard lock(mu_);
     return stats_;
   }
-
-  /// The base's current published epoch (0 = never mutated).
-  std::uint64_t epoch() const override { return base_->epoch(); }
 
   /// Per-tenant accounting snapshot; default-constructed for an unknown id.
   TenantStats tenant_stats(TenantId tenant) const {
@@ -201,7 +191,7 @@ class Executor : public Service<S> {
   }
 
   /// Queries queued but not yet admitted to a batch.
-  std::size_t pending() const override {
+  std::size_t pending() const {
     std::lock_guard lock(mu_);
     return n_pending_;
   }
@@ -213,49 +203,12 @@ class Executor : public Service<S> {
     return live_;
   }
 
-  /// Result-cache accounting (zeroes when the cache is disabled).
-  typename ResultCache<S>::Stats cache_stats() const { return cache_.stats(); }
-
-  /// Enqueue a query for `tenant`; returns the ticket redeemable via
-  /// wait()/poll(). Shape mismatches throw here — at admission, not at
-  /// flush.
-  std::size_t submit(TenantId tenant, Query<S> q) override {
-    detail::validate_query<S>(base_->nrows(), base_->ncols(), q);
+  /// Enqueue a sub-query for `tenant`; returns the ticket redeemable via
+  /// wait()/poll(). The Router has already validated its shape (run_batch
+  /// re-checks it at launch) and drawn its trace id.
+  std::size_t submit(TenantId tenant, Query<S> q) {
     auto& tracer = trace::Tracer::instance();
-    if (cfg_.trace_sampling && q.trace == 0) q.trace = tracer.sample();
     trace::ScopedSpan span(trace::Stage::kSubmit, q.trace, q.trace != 0);
-    // Result-cache probe, keyed on the base's CURRENT epoch. A hit settles
-    // the ticket right here — no queue entry, no admission, no launch; the
-    // cached bytes are what a launch would have produced (the entry was
-    // installed at this exact epoch). A mutate() racing this submit may
-    // serve the pre-mutation epoch, which is the same outcome as the query
-    // having been flushed just before the mutation — admissible under the
-    // epoch contract.
-    std::optional<typename ResultCache<S>::Key> ckey;
-    if (cache_.enabled() && ResultCache<S>::cacheable(q)) {
-      trace::ScopedSpan probe_span(trace::Stage::kCacheProbe, q.trace,
-                                   q.trace != 0);
-      auto key = ResultCache<S>::make_key(
-          base_->epoch(), 0, q, static_cast<unsigned char>(cfg_.strategy));
-      auto hit = cache_.probe(
-          key, [this](const auto& k) { return k.epoch != base_->epoch(); });
-      probe_span.args(hit ? 1 : 0, hit ? hit->bytes : 0);
-      if (hit) {
-        const std::uint64_t tr2 = q.trace;
-        std::lock_guard lock(mu_);
-        if (stopping_) {
-          throw std::runtime_error("Executor: submit after shutdown");
-        }
-        const std::size_t ticket = results_.size();
-        results_.emplace_back(std::move(hit->value));
-        traces_.push_back(tr2);
-        auto& ts = tstats_[tenant];
-        ++ts.cache_hits;
-        ts.cache_bytes += hit->bytes;
-        return ticket;
-      }
-      ckey = std::move(key);  // install at settle, at the served epoch
-    }
     const std::uint64_t flops = query_flops(q);
     const auto rows = static_cast<std::uint64_t>(q.lhs.nrows());
     span.args(flops, rows);
@@ -271,46 +224,36 @@ class Executor : public Service<S> {
     const std::size_t ticket = results_.size();
     results_.emplace_back();
     traces_.push_back(tr);
-    queues_[tenant].push_back(Pending{std::move(q), ticket, flops, rows,
-                                      tenant, tr, enq_ns, std::move(ckey)});
+    queues_[tenant].push_back(
+        Pending{std::move(q), ticket, flops, rows, tenant, tr, enq_ns});
     ++n_pending_;
     (void)tstats_[tenant];  // tenant becomes visible on first submit
-    if (queues_[tenant].back().ckey) ++tstats_[tenant].cache_misses;
     lock.unlock();
     queue_cv_.notify_one();  // an idle async flusher launches at once
     return ticket;
   }
 
-  using Service<S>::submit;  // submit(q) → anonymous tenant
-
-  /// Apply `ops` to the base (in order, last write per key wins) and
-  /// return the epoch the batch created. Publication is atomic: batches
-  /// flushed before this call serve the old epoch, batches flushed after
-  /// serve the new one, and a flush racing this call gets exactly one of
-  /// the two — never a half-applied batch.
-  std::uint64_t mutate(TenantId tenant,
-                       const sparse::UpdateBatch<T>& ops) override {
+  /// Apply `ops` (shard-local keys, checked by the Router) to the base in
+  /// order, last write per key wins, and return the shard epoch the batch
+  /// created. Publication is atomic: batches flushed before this call
+  /// serve the old epoch, batches flushed after serve the new one, and a
+  /// flush racing this call gets exactly one of the two — never a
+  /// half-applied batch.
+  std::uint64_t mutate(const sparse::UpdateBatch<T>& ops) {
     {
       std::lock_guard lock(mu_);
       if (stopping_) {
         throw std::runtime_error("Executor: mutate after shutdown");
       }
     }
-    const std::uint64_t e = base_->mutate(ops);
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.mutations;
-      ++tstats_[tenant].mutations;
-    }
-    return e;
+    return base_->mutate(ops);
   }
-  using Service<S>::mutate;  // mutate(ops) → anonymous tenant
 
   /// Drain the whole queue now, on the calling thread. In async mode this
   /// is also what the background thread runs whenever its queue is
   /// non-empty; concurrent drains serialize, so calling it alongside the
   /// flusher is safe.
-  void flush() override {
+  void flush() {
     {
       std::lock_guard lock(mu_);
       if (stopping_) return;  // shutdown owns the final drain decision
@@ -324,7 +267,7 @@ class Executor : public Service<S> {
   /// flushes on the calling thread; in async mode the flush thread is
   /// already draining the queue, so it just waits. Throws if the ticket was
   /// dropped by a non-draining shutdown.
-  const sparse::Matrix<T>& wait(std::size_t ticket) override {
+  const sparse::Matrix<T>& wait(std::size_t ticket) {
     trace::ScopedSpan span;
     std::unique_lock lock(mu_);
     if (ticket >= results_.size()) {
@@ -358,16 +301,13 @@ class Executor : public Service<S> {
     rethrow_if_failed_locked(ticket);
     return results_[ticket] ? &*results_[ticket] : nullptr;
   }
-  const sparse::Matrix<T>* poll(std::size_t ticket) override {
-    return std::as_const(*this).poll(ticket);
-  }
 
   /// Retire the flush thread (async mode) and finalize the executor. With
   /// drain = true (the default, and what the destructor runs) every
   /// queued-but-unflushed ticket is resolved first; with drain = false
   /// unflushed queries are dropped and their wait() throws. Idempotent;
   /// submit() after shutdown throws.
-  void shutdown(bool drain = true) override {
+  void shutdown(bool drain = true) {
     {
       std::lock_guard lock(mu_);
       if (stopping_) return;
@@ -408,9 +348,6 @@ class Executor : public Service<S> {
     TenantId tenant = 0;
     std::uint64_t trace = 0;   ///< copy of q.trace, survives the move-out
     std::uint64_t enq_ns = 0;  ///< submit timestamp (0 = unmeasured)
-    /// Probe key of a cacheable miss: the settled answer installs under
-    /// it (re-stamped with the epoch the batch actually pinned).
-    std::optional<typename ResultCache<S>::Key> ckey;
   };
 
   /// Rethrow the flush failure owned by `ticket`, if any (mu_ held).
@@ -567,18 +504,6 @@ class Executor : public Service<S> {
     auto rs = run_batch<S>(snap->base_view(), qs, cfg_.strategy, &ss);
     ss.epoch = snap->epoch;
     kernel_span.finish();
-    if (cache_.enabled()) {
-      // Install every cacheable answer under the epoch the batch actually
-      // pinned (a mutation may have landed between submit and flush; the
-      // snapshot epoch is the truth the bytes were computed at). Outside
-      // mu_ — the cache has its own lock and install copies the matrix.
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        if (!batch[k].ckey) continue;
-        auto key = *batch[k].ckey;
-        key.epoch = snap->epoch;
-        cache_.install(key, rs[k]);
-      }
-    }
     const auto dt = timed ? std::chrono::steady_clock::now() - t0
                           : std::chrono::steady_clock::duration{};
     if (telemetry) {
@@ -600,13 +525,13 @@ class Executor : public Service<S> {
       if (telemetry) {
         // Admission state as gauges: a stuck controller (samples pinned at
         // 0, limits never moving) is observable instead of silent. Each
-        // executor binds its OWN gauge set, namespaced by cfg_.gauge_scope
-        // ("serve.admission.shard<N>.*" under the sharded router), so N
-        // shard executors export N distinct sets instead of last-batch-
-        // wins on one. Bound lazily under mu_, once per executor.
+        // shard binds its OWN "serve.admission.shard<N>.*" set, so N shards
+        // export N distinct sets instead of last-batch-wins on one. Bound
+        // lazily under mu_, once per executor.
         namespace hm = util::metrics;
         if (g_adm_flops_ == nullptr) {
-          const std::string prefix = "serve.admission." + cfg_.gauge_scope;
+          const std::string prefix =
+              "serve.admission.shard" + std::to_string(shard_) + ".";
           auto& reg = hm::Registry::instance();
           g_adm_flops_ = &reg.gauge(prefix + "max_batch_flops",
                                     hm::Stability::kTiming);
@@ -666,9 +591,9 @@ class Executor : public Service<S> {
 
   std::unique_ptr<sparse::DeltaBase<S>> base_;
   Config cfg_;
+  std::size_t shard_;             ///< this worker's shard index
   AdmissionController ctrl_;      ///< adaptive admission (off by default)
   AdmissionController::Limits live_{};  ///< limits in force (under mu_)
-  ResultCache<S> cache_;          ///< internally locked; off by default
   /// This executor's namespaced admission gauges, bound lazily under mu_
   /// on the first telemetered batch (registry entries are process-
   /// lifetime, so the pointers never dangle).

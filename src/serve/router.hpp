@@ -1,32 +1,35 @@
 #pragma once
-// Router — the scatter-gather front end of the sharded serving stack.
+// Router — the serving engine: the one serve::Service implementation.
 //
-// The stack has three explicit layers:
+// Every caller serves through a Router over N ≥ 1 row shards. The stack
+// has three explicit layers:
 //
 //   ShardMap   (shard_map.hpp)  — partitions ONE logical base into N
 //     contiguous row-range shards, each a standalone base; owns the
 //     local↔global translation and the lhs column-split scatter.
 //   Router     (this header)    — implements serve::Service (submit /
-//     mutate / wait / poll / flush / shutdown / stats), consults the
+//     mutate / wait / poll / flush / shutdown / stats). It validates each
+//     query, samples its trace id, probes the result cache and counts the
+//     logical queries and mutation batches, once. It then consults the
 //     shard map to scatter each query to the shard(s) its key space
-//     touches — and each mutation to the shard owning its row — and
-//     fans out to per-shard Executor instances, each with
-//     its own flush thread, admission budget, and TenantStats. Key
-//     realignment happens ONCE here (ShardMap::scatter); shard executors
+//     touches — and each mutation to the shard owning its row — and fans
+//     out to per-shard Executor workers (executor.hpp), each with its own
+//     queue, flush thread, admission budget and TenantStats. Key
+//     realignment happens ONCE here (ShardMap::scatter); shard workers
 //     only ever see operands in their own local coordinates.
 //   Gather                      — merges per-shard partials back into one
 //     per-query result via a deterministic shard-order fold: stage s+1's
 //     launch is SEEDED with stage s's partial (Query::carry), so the
 //     accumulator continues the same flat left fold the unsharded kernel
 //     runs over the full inner dimension. That makes sharded execution
-//     bit-identical to the unsharded executor for every semiring,
-//     strategy, and thread count — floats included — because the fold is
-//     never regrouped, only resumed. (An ⊕-merge of independently folded
+//     bit-identical to the 1-shard engine for every semiring, strategy,
+//     and thread count — floats included — because the fold is never
+//     regrouped, only resumed. (An ⊕-merge of independently folded
 //     partials would regroup the fold tree and drift in the last ulp.)
 //
 // Queries touching a single shard — the common point-lookup shape — are
 // pure pass-through: one sub-query, no carry, no merge step, resolved
-// entirely by that shard's executor (its background flush thread included).
+// entirely by that shard's worker (its background flush thread included).
 // Straddling queries form a CHAIN of sub-queries, one per touched shard in
 // ascending shard order; the chain advances when wait()/poll()/flush()
 // observes a settled stage and submits the next one with the partial as
@@ -34,12 +37,10 @@
 // router indexes only the chains that still have a non-final stage to
 // advance, so flush() and shutdown() cost O(in flight), not O(history).
 //
-// The 1-shard Router is the unsharded executor, verbatim: the map moves
-// the base through untouched, every query is single-shard pass-through,
-// and all launches run the same Executor/run_batch path (each shard
-// executor owns one base, so every flushed batch is one launch) — the
-// single-base Executor is the 1-shard instantiation of this stack, not a
-// parallel code path.
+// With one shard the map moves the base through untouched, every query is
+// single-shard pass-through, and every flushed batch is one run_batch
+// launch on that shard's worker: the unsharded engine is the 1-shard
+// Router, not a separate code path.
 
 #include <chrono>
 #include <cstdint>
@@ -50,7 +51,6 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -63,13 +63,13 @@
 namespace hyperspace::serve {
 
 /// Router-level accounting: logical queries and how the scatter split
-/// them. Per-shard ServeStats/TenantStats live in the shard executors
+/// them. Per-shard ServeStats/TenantStats live in the shard workers
 /// (a straddling query counts once per touched shard there).
 struct RouterStats {
   std::uint64_t queries = 0;        ///< logical queries submitted
   std::uint64_t single_shard = 0;   ///< resolved by one shard, no merge
   std::uint64_t straddling = 0;     ///< scattered across ≥ 2 shards
-  std::uint64_t stage_submits = 0;  ///< sub-queries handed to shard executors
+  std::uint64_t stage_submits = 0;  ///< sub-queries handed to shard workers
   std::uint64_t merges = 0;         ///< carry folds (straddle stages ≥ 1)
   std::uint64_t mutations = 0;      ///< logical mutation batches accepted
   std::uint64_t epoch = 0;          ///< router-level epoch (= mutations)
@@ -85,7 +85,9 @@ class Router : public Service<S> {
 
  public:
   struct Config {
-    typename Executor<S>::Config executor{};  ///< per-shard executor config
+    /// Per-shard worker config; its cache_bytes / cache_negative size the
+    /// Router's result cache.
+    typename Executor<S>::Config executor{};
     int n_shards = 1;
     /// Explicit row cuts (size N+1, 0 → nrows); overrides n_shards.
     std::vector<sparse::Index> cuts;
@@ -101,22 +103,10 @@ class Router : public Service<S> {
       : map_(std::move(map)),
         cfg_(cfg),
         cache_({cfg.executor.cache_bytes, cfg.executor.cache_negative}) {
-    // Trace sampling happens ONCE, here at the router: shard executors
-    // must not re-sample the sub-queries of an untraced logical query.
-    // The result cache likewise lives ONCE, at the router, keyed on the
-    // router-level epoch over the gathered final answer: shard-local
-    // caches would key on shard epochs a logical query never observes, so
-    // they are forced off — which is also what makes straddling chain
-    // stages bypass the cache per-stage. Each shard executor gets its own
-    // admission-gauge namespace so N shards export N distinct gauge sets.
-    auto ecfg = cfg_.executor;
-    ecfg.trace_sampling = false;
-    ecfg.cache_bytes = 0;
     execs_.reserve(map_.n_shards());
     for (std::size_t s = 0; s < map_.n_shards(); ++s) {
-      ecfg.gauge_scope = "shard" + std::to_string(s) + ".";
       execs_.push_back(
-          std::make_unique<Executor<S>>(map_.take_shard(s), ecfg));
+          std::make_unique<Executor<S>>(map_.take_shard(s), cfg_.executor, s));
     }
   }
 
@@ -127,7 +117,7 @@ class Router : public Service<S> {
   std::size_t n_shards() const { return execs_.size(); }
   const ShardMap<T>& map() const { return map_; }
   const Config& config() const { return cfg_; }
-  /// Shard s's executor (its base() is the shard in LOCAL row space).
+  /// Shard s's worker (its base() is the shard in LOCAL row space).
   const Executor<S>& shard_executor(std::size_t s) const {
     return *execs_.at(s);
   }
@@ -138,16 +128,19 @@ class Router : public Service<S> {
   /// sharded path — happens now, once.
   std::size_t submit(TenantId tenant, Query<S> q) override {
     detail::validate_query<S>(map_.nrows(), map_.ncols(), q);
-    // The router is the sampling point for the whole sharded stack: one
-    // trace id covers the logical query, and every sub-query inherits it
-    // (shard executors run with trace_sampling off).
+    // The router is the one sampling point: one trace id covers the
+    // logical query, and every sub-query inherits it.
     auto& tracer = trace::Tracer::instance();
     if (q.trace == 0) q.trace = tracer.sample();
     // Result-cache probe, keyed on the router-level epoch (the count of
-    // logical mutation batches — coarser than the shard executors'
-    // epochs: ANY mutation invalidates, because the router cannot see
-    // which shards a cached answer depended on). A hit settles the chain
-    // before it exists: no scatter, no sub-queries, no merge.
+    // logical mutation batches — coarser than the shard workers' epochs:
+    // ANY mutation invalidates, because the router cannot see which
+    // shards a cached answer depended on). The cache lives only here, over
+    // gathered final answers, so chain stages never touch it. A hit
+    // settles the chain before it exists: no scatter, no sub-queries, no
+    // merge. A mutate() racing this submit may serve the pre-mutation
+    // epoch — the same outcome as the query settling just before the
+    // mutation, admissible under the epoch contract.
     std::optional<typename ResultCache<S>::Key> ckey;
     if (cache_.enabled() && ResultCache<S>::cacheable(q)) {
       trace::ScopedSpan probe_span(trace::Stage::kCacheProbe, q.trace,
@@ -188,8 +181,8 @@ class Router : public Service<S> {
     trace::ScopedSpan scatter_span(trace::Stage::kScatter, q.trace,
                                    q.trace != 0);
     if (map_.n_shards() == 1) {
-      // 1-shard pass-through: the executor path verbatim — the lhs moves
-      // through unsplit, uncopied, untranslated.
+      // 1-shard pass-through: the lhs moves through unsplit, uncopied,
+      // untranslated.
       c.shards.push_back(0);
       c.lhs.push_back(std::move(q.lhs));
     } else {
@@ -231,18 +224,21 @@ class Router : public Service<S> {
     return ticket;
   }
 
-  std::size_t submit(Query<S> q) { return submit(0, std::move(q)); }
+  using Service<S>::submit;  // submit(q) → anonymous tenant
 
   /// Apply `ops` to the logical base: scatter each update to the shard
   /// owning its row (ShardMap::scatter_updates — local row r − cuts[s],
   /// columns untouched) and forward every non-empty slice to that shard
-  /// executor's delta base. Returns the router-level epoch: the count of
-  /// logical mutation batches accepted, which advances once per call
-  /// regardless of how many shards the batch straddled. Known limitation:
-  /// a straddling chain in flight can observe MIXED epochs if a mutation
-  /// lands between its stages — quiesce (flush) around mutations when
-  /// chain-level epoch stability matters; epoch-pinned chains are a
-  /// ROADMAP follow-on.
+  /// worker's delta base. Every key is checked against the logical shape
+  /// first: a batch holding any out-of-range key throws std::out_of_range
+  /// and applies nothing on any shard. Returns the router-level epoch: the
+  /// count of logical mutation batches accepted, which advances — and is
+  /// counted in stats().mutations and tenant_stats().mutations — once per
+  /// call regardless of how many shards the batch straddled. Known
+  /// limitation: a straddling chain in flight can observe MIXED epochs if
+  /// a mutation lands between its stages — quiesce (flush) around
+  /// mutations when chain-level epoch stability matters; epoch-pinned
+  /// chains are a ROADMAP follow-on.
   std::uint64_t mutate(TenantId tenant,
                        const sparse::UpdateBatch<T>& ops) override {
     auto slices = map_.scatter_updates(ops);  // validates every key first
@@ -253,12 +249,11 @@ class Router : public Service<S> {
       }
     }
     for (std::size_t s = 0; s < slices.size(); ++s) {
-      if (!slices[s].empty()) {
-        execs_[s]->mutate(tenant, slices[s]);
-      }
+      if (!slices[s].empty()) execs_[s]->mutate(slices[s]);
     }
     std::lock_guard lock(rmu_);
     ++rstats_.mutations;
+    ++rtstats_[tenant].mutations;
     rstats_.epoch += 1;
     return rstats_.epoch;
   }
@@ -271,7 +266,7 @@ class Router : public Service<S> {
   }
 
   /// Block until the query's chain completes and return its final result.
-  /// The reference lives in the LAST touched shard's executor and stays
+  /// The reference lives in the LAST touched shard's worker and stays
   /// valid for the router's lifetime. Advances the chain stage by stage:
   /// each settled partial is folded forward as the next stage's carry.
   const sparse::Matrix<T>& wait(std::size_t ticket) override {
@@ -324,7 +319,7 @@ class Router : public Service<S> {
     }
   }
 
-  /// Drain everything on the calling thread: flush every shard executor
+  /// Drain everything on the calling thread: flush every shard worker
   /// and advance every live chain until all queues are empty and every
   /// chain is at its final, settled stage. Walks only the live-chain
   /// index, so an empty flush costs O(in flight), not O(queries served).
@@ -357,7 +352,7 @@ class Router : public Service<S> {
     }
   }
 
-  /// Retire every shard executor. With drain = true (default, and the
+  /// Retire every shard worker. With drain = true (default, and the
   /// destructor's behavior) all chains are driven to completion first;
   /// with drain = false unflushed sub-queries are dropped and their
   /// wait() throws.
@@ -369,7 +364,7 @@ class Router : public Service<S> {
     }
     if (drain) {
       // A failing batch routes its error to its tickets and leaves the
-      // queue; retrying the drain terminates (mirrors Executor::shutdown).
+      // queue; retrying the drain terminates (as in Executor::shutdown).
       for (;;) {
         try {
           flush();
@@ -381,16 +376,18 @@ class Router : public Service<S> {
     for (auto& e : execs_) e->shutdown(drain);
   }
 
-  /// Aggregate kernel-level accounting across the shard executors. Note:
+  /// Aggregate kernel-level accounting across the shard workers. Note:
   /// `queries` here counts SUB-queries (one per touched shard); the
-  /// logical count is router_stats().queries. The flop totals partition
-  /// the unsharded executor's exactly, for masked and unmasked traffic
-  /// alike — every product is counted in exactly one stage (flops_kept
-  /// counts every product that reaches an accumulator, mask or no mask)
-  /// and the carry adds none.
+  /// logical count is router_stats().queries. `mutations` counts logical
+  /// batches, once each. The flop totals partition the 1-shard engine's
+  /// exactly, for masked and unmasked traffic alike — every product is
+  /// counted in exactly one stage (flops_kept counts every product that
+  /// reaches an accumulator, mask or no mask) and the carry adds none.
   ServeStats stats() const override {
     ServeStats out;
     for (const auto& e : execs_) out += e->stats();
+    std::lock_guard lock(rmu_);
+    out.mutations = rstats_.mutations;
     return out;
   }
 
@@ -399,9 +396,9 @@ class Router : public Service<S> {
     return rstats_;
   }
 
-  /// Per-tenant accounting summed across shards (sub-query granularity),
-  /// plus this router's own cache hit/miss/bytes split — hits never reach
-  /// a shard, so they are accounted here and only here.
+  /// Per-tenant execution accounting summed across shards (sub-query
+  /// granularity), plus this router's own logical mutation count and
+  /// cache hit/miss/bytes split — neither reaches a shard's TenantStats.
   TenantStats tenant_stats(TenantId tenant) const {
     TenantStats out;
     for (const auto& e : execs_) {
@@ -411,20 +408,21 @@ class Router : public Service<S> {
       out.flops += ts.flops;
       out.batches += ts.batches;
       out.deferrals += ts.deferrals;
-      out.mutations += ts.mutations;
     }
     std::lock_guard lock(rmu_);
     const auto it = rtstats_.find(tenant);
     if (it != rtstats_.end()) {
-      out.cache_hits += it->second.cache_hits;
-      out.cache_misses += it->second.cache_misses;
-      out.cache_bytes += it->second.cache_bytes;
+      out.mutations = it->second.mutations;
+      out.cache_hits = it->second.cache_hits;
+      out.cache_misses = it->second.cache_misses;
+      out.cache_bytes = it->second.cache_bytes;
     }
     return out;
   }
 
-  /// Every tenant that has ever submitted, ascending, across all shards
-  /// (cache-hit-only tenants included — they never reach a shard).
+  /// Every tenant that has ever submitted or mutated, ascending, across
+  /// all shards (cache-hit-only tenants included — they never reach a
+  /// shard).
   std::vector<TenantId> tenants() const {
     std::map<TenantId, bool> seen;
     for (const auto& e : execs_) {
@@ -460,7 +458,7 @@ class Router : public Service<S> {
     sparse::MaskDesc desc{};
     TenantId tenant = 0;
     std::size_t stage = 0;         ///< currently submitted stage
-    std::size_t stage_ticket = 0;  ///< ticket within shards[stage]'s executor
+    std::size_t stage_ticket = 0;  ///< ticket within shards[stage]'s worker
     std::uint64_t trace = 0;       ///< sampled trace id (0 = untraced)
     std::uint64_t start_ns = 0;    ///< scatter time, anchors the gather span
     bool gathered = false;         ///< gather span recorded once per chain
@@ -513,7 +511,7 @@ class Router : public Service<S> {
 
   /// Fold chain `ticket`'s settled partial `r` forward into its next stage
   /// (rmu_ held). Once the final stage is submitted the chain leaves the
-  /// live index: only its last shard executor has work left for it.
+  /// live index: only its last shard worker has work left for it.
   void advance_locked(std::size_t ticket, Chain& ch,
                       const sparse::Matrix<T>& r) {
     ch.stage += 1;
@@ -522,7 +520,7 @@ class Router : public Service<S> {
     if (ch.stage + 1 == ch.shards.size()) live_.erase(ticket);
   }
 
-  /// Submit chain stage `ch.stage` to its shard executor (rmu_ held).
+  /// Submit chain stage `ch.stage` to its shard worker (rmu_ held).
   /// `carry` is the previous stage's partial (or the caller's seed for
   /// stage 0); the mask rides along on every stage — output columns are
   /// not sharded, so it applies unchanged. Known cost: non-final stages
@@ -577,8 +575,9 @@ class Router : public Service<S> {
   std::set<std::size_t> live_;
   RouterStats rstats_;
   ResultCache<S> cache_;       ///< internally locked; off by default
-  /// Router-level per-tenant cache accounting (hits never reach a shard
-  /// executor's TenantStats). Only the cache_* fields are ever nonzero.
+  /// Router-level per-tenant accounting: logical mutation batches and the
+  /// cache split, which never reach a shard worker's TenantStats. Only the
+  /// mutations and cache_* fields are ever nonzero.
   std::map<TenantId, TenantStats> rtstats_;
   bool stopping_ = false;
 };

@@ -1,12 +1,9 @@
 #pragma once
 // serve::Service — the ONE serving submit surface.
 //
-// PR 4 gave the Executor an async ticketed API and PR 5 wrapped it in a
-// sharded Router, but each engine grew its own spelling of the same verbs
-// and every example/bench/test special-cased which engine it drove. This
-// interface is the redesign that closes that gap: anything that serves
-// queries — the single-process Executor, the sharded Router, whatever
-// comes next — implements
+// One engine implements it: serve::Router (serve/router.hpp), over N ≥ 1
+// row shards, each run by an internal Executor worker. The unsharded
+// engine is the 1-shard Router. Callers hold a Service<S>& and use
 //
 //   submit(tenant, query)  → ticket      enqueue a read
 //   mutate(tenant, batch)  → epoch       apply writes (delta bases)
@@ -16,18 +13,16 @@
 //   shutdown(drain)                      retire the engine
 //   stats() / epoch() / pending()        accounting
 //
-// so callers hold a Service<S>& and never name the engine. Every engine
-// serves one base (the Router's is split into row shards); a caller with
-// several bases runs one engine per base. The contract
-// every implementation must keep: results are bit-identical to running
-// each query alone against a from-scratch rebuild of its base at the
-// epoch the query's batch was served — batching, sharding, asynchrony,
-// mutation interleaving, and thread count never change an answer. The
-// result cache (serve/cache.hpp, enabled per engine via
-// Config::cache_bytes / cache_negative, default off) inherits that
-// contract wholesale: a hit is a byte-identical replay of the answer the
-// engine settled at that epoch, never a recomputation, so enabling it is
-// invisible to every caller of this interface except in latency and in
+// Every engine serves one base (split into row shards); a caller with
+// several bases runs one engine per base. The contract: results are
+// bit-identical to running each query alone against a from-scratch
+// rebuild of its base at the epoch the query's batch was served —
+// batching, sharding, asynchrony, mutation interleaving, and thread count
+// never change an answer. The result cache (serve/cache.hpp, enabled via
+// Config::executor.cache_bytes / cache_negative, default off) inherits
+// that contract wholesale: a hit is a byte-identical replay of the answer
+// the engine settled at that epoch, never a recomputation, so enabling it
+// is invisible to every caller of this interface except in latency and in
 // the serve.cache.* registry section of metrics_text()/metrics_json().
 
 #include <cstdint>

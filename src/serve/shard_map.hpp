@@ -1,20 +1,21 @@
 #pragma once
-// ShardMap — the partition authority of the sharded serving stack.
+// ShardMap — the partition authority of the serving engine.
 //
 // A shard map cuts ONE logical base (n × c) into N contiguous row-range
 // shards: shard s is a standalone base holding global rows
 // [cuts[s], cuts[s+1]) as local rows 0..height, with the full column
 // space. Shards are built once via the existing split primitive
-// (sparse::split_rows) and handed to per-shard executors; the map keeps
-// the cuts — the local↔global row translation — and performs the router's
-// scatter: splitting a query's lhs by COLUMN ranges (lhs columns index
-// base rows) into per-shard sub-operands, rebased into each shard's local
-// row space. That realignment happens ONCE here, at the router — a shard
-// executor only ever sees operands already in its own coordinates.
+// (sparse::split_rows) and handed to the Router's per-shard workers; the
+// map keeps the cuts — the local↔global row translation — and performs
+// the router's scatter: splitting a query's lhs by COLUMN ranges (lhs
+// columns index base rows) into per-shard sub-operands, rebased into each
+// shard's local row space. That realignment happens ONCE here, at the
+// router — a shard worker only ever sees operands already in its own
+// coordinates.
 //
-// The 1-shard map is the unsharded executor's base, verbatim (moved, not
-// copied, not translated) — the single-base serving path IS the 1-shard
-// instantiation of this stack.
+// The 1-shard map is the base itself, verbatim (moved, not copied, not
+// translated): the unsharded engine is the 1-shard instantiation of this
+// stack.
 
 #include <span>
 #include <stdexcept>
@@ -70,7 +71,7 @@ class ShardMap {
   const sparse::Matrix<T>& shard(std::size_t s) const { return shards_.at(s); }
 
   /// Move shard s's base out (router construction hands each shard base to
-  /// its executor exactly once; the map keeps cuts and shapes for routing).
+  /// its worker exactly once; the map keeps cuts and shapes for routing).
   sparse::Matrix<T> take_shard(std::size_t s) {
     return std::move(shards_.at(s));
   }

@@ -1,8 +1,8 @@
 // Tests for adaptive admission (serve/admission.hpp): the controller is a
 // pure component, so these tests drive it with INJECTED timings and assert
-// deterministic convergence toward the latency target; the executor
-// integration asserts the live limits move while answers stay bit-identical
-// (admission only re-slices the queue).
+// deterministic convergence toward the latency target; the engine
+// integration (1-shard and sharded Routers) asserts the live limits move
+// while answers stay bit-identical (admission only re-slices the queue).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "helpers.hpp"
 #include "semiring/all.hpp"
-#include "serve/executor.hpp"
 #include "serve/router.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -144,8 +143,9 @@ TEST(AdmissionController, P95ModeFallsBackToEwmaWhileStarved) {
 }
 
 // --------------------------------------------------------------------------
-// Executor integration: the live limits follow the controller; results are
-// untouched (admission is answer-invariant by the serving contract).
+// Engine integration: each shard worker's live limits follow its
+// controller; results are untouched (admission is answer-invariant by the
+// serving contract).
 
 /// A base whose every row has exactly 4 entries (admission flops are then
 /// 4 · nnz(lhs), exactly).
@@ -176,12 +176,12 @@ serve::Query<S> point_query(Index n, int width, std::uint64_t seed) {
 
 TEST(ExecutorAdaptive, StaticConfigKeepsLimitsFixed) {
   const auto base = uniform_base(64);
-  serve::Executor<S> ex(base, {.max_batch_flops = 4096});
+  serve::Router<S> ex(base, {.executor = {.max_batch_flops = 4096}});
   for (int i = 0; i < 8; ++i) {
     ex.submit(point_query(64, 4, 10 + static_cast<std::uint64_t>(i)));
   }
   ex.flush();
-  EXPECT_EQ(ex.admission_limits().max_batch_flops, 4096u);
+  EXPECT_EQ(ex.shard_executor(0).admission_limits().max_batch_flops, 4096u);
 }
 
 TEST(ExecutorAdaptive, LatencyTargetMovesLimitsAnswersUnchanged) {
@@ -190,13 +190,14 @@ TEST(ExecutorAdaptive, LatencyTargetMovesLimitsAnswersUnchanged) {
   const Index n = 256;
   const auto base = uniform_base(n);
   for (const bool async : {false, true}) {
-    serve::Executor<S> ex(base, {.async = async, .latency_target = 50us});
+    serve::Router<S> ex(
+        base, {.executor = {.async = async, .latency_target = 50us}});
     std::vector<std::size_t> tickets;
     std::vector<serve::Query<S>> qs;
     for (int i = 0; i < 48; ++i) {
       qs.push_back(point_query(n, 8, 100 + static_cast<std::uint64_t>(i)));
       tickets.push_back(ex.submit(qs.back()));
-      (void)ex.admission_limits();
+      (void)ex.shard_executor(0).admission_limits();
     }
     ex.flush();
     // Bit-identical results regardless of how admission sliced the queue.
@@ -209,7 +210,7 @@ TEST(ExecutorAdaptive, LatencyTargetMovesLimitsAnswersUnchanged) {
     // batches may all be too small to count. Either way it stays within the
     // clamp bounds. The exact value is timing-dependent — the deterministic
     // convergence story is the pure-controller tests above.
-    const auto lim = ex.admission_limits();
+    const auto lim = ex.shard_executor(0).admission_limits();
     EXPECT_GE(lim.max_batch_flops, std::uint64_t{1} << 10);
     EXPECT_LE(lim.max_batch_flops, std::uint64_t{1} << 40);
     EXPECT_EQ(ex.stats().queries, qs.size());
@@ -222,25 +223,25 @@ TEST(ExecutorAdaptive, AdmissionStateIsExportedAsGauges) {
   m::set_enabled(true);
   const Index n = 256;
   const auto base = uniform_base(n);
-  serve::Executor<S> ex(base, {.latency_target = 50us,
-                               .admission_use_p95 = true});
+  serve::Router<S> ex(base, {.executor = {.latency_target = 50us,
+                                          .admission_use_p95 = true}});
   for (int i = 0; i < 32; ++i) {
     ex.submit(point_query(n, 8, 300 + static_cast<std::uint64_t>(i)));
   }
   ex.flush();
   auto& reg = m::Registry::instance();
-  const auto lim = ex.admission_limits();
-  EXPECT_EQ(reg.gauge_value("serve.admission.max_batch_flops"),
+  const auto lim = ex.shard_executor(0).admission_limits();
+  EXPECT_EQ(reg.gauge_value("serve.admission.shard0.max_batch_flops"),
             static_cast<double>(lim.max_batch_flops));
   // The sample-count gauge makes a starved controller visible; here the
   // batches were big enough to count.
-  EXPECT_GE(reg.gauge_value("serve.admission.samples"), 1.0);
+  EXPECT_GE(reg.gauge_value("serve.admission.shard0.samples"), 1.0);
 }
 
 TEST(ExecutorAdaptive, ShardedRouterExportsOneGaugeSetPerShard) {
   // Regression: the admission gauges used to be a single static unscoped
-  // set, so a 4-shard router's executors fought last-batch-wins over one
-  // "serve.admission.*" triple. Each shard executor now binds its own
+  // set, so a 4-shard router's workers fought last-batch-wins over one
+  // "serve.admission.*" triple. Each shard worker now binds its own
   // "serve.admission.shard<N>.*" set.
   namespace m = hyperspace::util::metrics;
   if (!m::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
@@ -250,7 +251,7 @@ TEST(ExecutorAdaptive, ShardedRouterExportsOneGaugeSetPerShard) {
   const Index n = 256;
   const auto base = uniform_base(n);
   serve::Router<S> router(base, {.n_shards = 4});
-  // Width-8 point queries straddle shards, so every shard executor runs
+  // Width-8 point queries straddle shards, so every shard worker runs
   // telemetered batches and binds its own gauges.
   for (int i = 0; i < 32; ++i) {
     router.submit(point_query(n, 8, 500 + static_cast<std::uint64_t>(i)));
@@ -266,7 +267,7 @@ TEST(ExecutorAdaptive, ShardedRouterExportsOneGaugeSetPerShard) {
         << prefix;
   }
   // The four sets are distinct registry entries, not one shared set: the
-  // legacy unscoped names were never touched by the router (reset to 0
+  // legacy unscoped names are never touched by any engine (reset to 0
   // above, still 0 now).
   EXPECT_EQ(reg.gauge_value("serve.admission.max_batch_flops"), 0.0);
 }

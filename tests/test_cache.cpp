@@ -2,8 +2,8 @@
 // ResultCache mechanics (LRU under a byte budget, negative entries, lazy
 // stale reclamation), key near-misses (same lhs at a different epoch,
 // same pattern with different values, same mask with a different
-// sense/probe), epoch invalidation through the Executor and Router, and
-// — the load-bearing part — a randomized read/mutate coherence fuzzer
+// sense/probe), epoch invalidation through 1-shard and sharded Routers,
+// and — the load-bearing part — a randomized read/mutate coherence fuzzer
 // proving that a cached engine is BYTE-identical to an uncached reference
 // across semirings, thread counts, shard counts, and sync/async modes:
 // a cache hit is a byte-identical replay, never a recomputation.
@@ -18,7 +18,6 @@
 #include "helpers.hpp"
 #include "semiring/all.hpp"
 #include "serve/cache.hpp"
-#include "serve/executor.hpp"
 #include "serve/router.hpp"
 #include "util/rng.hpp"
 
@@ -281,7 +280,8 @@ TEST(CacheKey, CarriedQueriesAreNeverCacheable) {
 }
 
 // --------------------------------------------------------------------------
-// Engine integration: Executor hit/miss/invalidation semantics.
+// Engine integration: hit/miss/invalidation semantics on the 1-shard
+// Router.
 
 /// A base with row 2 deliberately EMPTY (for the negative-entry test) and
 /// every other row carrying 3 entries.
@@ -298,7 +298,7 @@ Matrix<double> holey_base(Index n) {
 
 TEST(ExecutorCache, RepeatQueryHitsAndReplaysTheExactBytes) {
   const Index n = 32;
-  serve::Executor<S> ex(holey_base(n), {.cache_bytes = 1 << 16});
+  serve::Router<S> ex(holey_base(n), {.executor = {.cache_bytes = 1 << 16}});
   const auto q = one_row_query(n, 51);
   const auto t0 = ex.submit(q);
   const auto first = matrix_bytes(ex.wait(t0));
@@ -320,8 +320,9 @@ TEST(ExecutorCache, RepeatQueryHitsAndReplaysTheExactBytes) {
 
 TEST(ExecutorCache, MutationInvalidatesByEpochWithoutFlushing) {
   const Index n = 32;
-  serve::Executor<S> cached(holey_base(n), {.cache_bytes = 1 << 16});
-  serve::Executor<S> plain(holey_base(n));
+  serve::Router<S> cached(holey_base(n),
+                          {.executor = {.cache_bytes = 1 << 16}});
+  serve::Router<S> plain(holey_base(n));
   const auto q = one_row_query(n, 61);
   // Warm the cache at epoch 0 and hit it once.
   (void)cached.wait(cached.submit(q));
@@ -352,7 +353,7 @@ TEST(ExecutorCache, MutationInvalidatesByEpochWithoutFlushing) {
 
 TEST(ExecutorCache, NegativeEntryInvalidatedWhenMutationFillsTheRow) {
   const Index n = 32;
-  serve::Executor<S> ex(holey_base(n), {.cache_bytes = 1 << 16});
+  serve::Router<S> ex(holey_base(n), {.executor = {.cache_bytes = 1 << 16}});
   const auto q = serve::Query<S>::point(2, n);  // row 2 is empty
   const auto& r0 = ex.wait(ex.submit(q));
   EXPECT_EQ(r0.view().nnz(), 0);
@@ -371,8 +372,8 @@ TEST(ExecutorCache, NegativeEntryInvalidatedWhenMutationFillsTheRow) {
 
 TEST(ExecutorCache, NegativeCachingCanBeDisabled) {
   const Index n = 32;
-  serve::Executor<S> ex(holey_base(n), {.cache_bytes = 1 << 16,
-                                        .cache_negative = false});
+  serve::Router<S> ex(holey_base(n), {.executor = {.cache_bytes = 1 << 16,
+                                                   .cache_negative = false}});
   const auto q = serve::Query<S>::point(2, n);
   (void)ex.wait(ex.submit(q));
   (void)ex.wait(ex.submit(q));

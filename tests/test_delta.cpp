@@ -1,6 +1,6 @@
 // Tests for live mutation: DeltaBase (immutable main + last-wins delta,
 // epoch-versioned snapshots, compaction) and its threading through the
-// unified serve::Service interface (Executor and Router).
+// serve::Service interface (the Router, at 1 and N shards).
 //
 // The contract under test is the PR's acceptance bar: at EVERY epoch,
 // results served against main ⊕ delta are bit-identical — float bits
@@ -452,13 +452,14 @@ void epoch_bit_identity_sweep(Index n, std::uint64_t seed, Gen&& entry) {
 
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
-    // Unsharded executor, every strategy, tiny delta buffers (cascades).
+    // 1-shard engine, every strategy, tiny delta buffers (cascades).
     for (const auto strat :
          {MxmStrategy::kAuto, MxmStrategy::kGustavson, MxmStrategy::kHash,
           MxmStrategy::kSorted}) {
-      serve::Executor<Sr> ex(
-          base, {.strategy = strat,
-                 .delta = {.delta_buffer = 16, .delta_fanout = 2}});
+      serve::Router<Sr> ex(
+          base,
+          {.executor = {.strategy = strat,
+                        .delta = {.delta_buffer = 16, .delta_fanout = 2}}});
       sweep_engine<Sr>(ex, n, batches, rebuilt, seed + 50, entry);
     }
     // Sharded (3 uneven shards) and async variants, kAuto.
@@ -498,7 +499,7 @@ TEST(DeltaServe, SetSemiringEverywhere) {
 
 TEST(DeltaServe, StatsCarryMutationsAndServedEpoch) {
   const auto base = random_matrix<S>(24, 24, 120, 61, dbl_entry);
-  serve::Executor<S> ex(base);
+  serve::Router<S> ex(base);
   serve::Service<S>& svc = ex;
   EXPECT_EQ(svc.epoch(), 0u);
   svc.mutate({Update<double>::assign(0, 0, 2.0)});
@@ -532,12 +533,75 @@ TEST(DeltaServe, RouterEpochCountsLogicalBatches) {
   EXPECT_EQ(router.epoch(), 2u);
 }
 
+TEST(DeltaServe, MutationsCountOncePerLogicalBatch) {
+  // ServeStats::mutations and TenantStats::mutations count logical
+  // batches, like the epoch: a batch straddling every shard is ONE
+  // mutation, not one per touched shard.
+  const auto base = random_matrix<S>(24, 24, 120, 73, dbl_entry);
+  for (const int shards : {1, 3}) {
+    serve::Router<S> router(base, {.n_shards = shards});
+    UpdateBatch<double> ops;
+    for (Index r = 0; r < 24; r += 4) {
+      ops.push_back(Update<double>::assign(r, 1, 1.0));
+    }
+    router.mutate(7u, ops);
+    router.mutate(7u, {Update<double>::assign(0, 2, 2.0)});
+    router.mutate(8u, ops);
+    EXPECT_EQ(router.epoch(), 3u) << "shards=" << shards;
+    EXPECT_EQ(router.router_stats().mutations, 3u) << "shards=" << shards;
+    EXPECT_EQ(router.stats().mutations, 3u) << "shards=" << shards;
+    EXPECT_EQ(router.tenant_stats(7).mutations, 2u) << "shards=" << shards;
+    EXPECT_EQ(router.tenant_stats(8).mutations, 1u) << "shards=" << shards;
+    EXPECT_EQ(router.tenants(), (std::vector<serve::TenantId>{7, 8}));
+    EXPECT_NE(router.metrics_text().find("hyperspace_serve_mutations 3\n"),
+              std::string::npos)
+        << "shards=" << shards;
+  }
+}
+
+TEST(DeltaServe, OutOfShapeMutationIsANoOpOnEveryShard) {
+  // One key outside the logical shape among valid ones: the whole batch
+  // throws before any shard applies anything — no epoch moves, no shard's
+  // delta grows, and every answer stays what it was.
+  const Index n = 16;
+  const auto base = random_matrix<S>(n, n, 80, 75, dbl_entry);
+  const auto q =
+      serve::Query<S>::analytic(random_matrix<S>(3, n, 3 * n, 76, dbl_entry));
+  for (const int shards : {1, 3}) {
+    serve::Router<S> router(base, {.n_shards = shards});
+    router.mutate({Update<double>::assign(1, 1, 4.0)});
+    const auto before = router.wait(router.submit(q));
+    std::vector<std::uint64_t> shard_epochs;
+    for (std::size_t s = 0; s < router.n_shards(); ++s) {
+      shard_epochs.push_back(router.shard_executor(s).delta_base().epoch());
+    }
+    for (const auto& bad : {Update<double>::assign(20, 0, 1.0),
+                            Update<double>::assign(0, n, 1.0),
+                            Update<double>::erased(-1, 0)}) {
+      UpdateBatch<double> ops{Update<double>::assign(0, 0, 9.0),
+                              Update<double>::assign(n - 1, 3, 9.0), bad,
+                              Update<double>::erased(1, 1)};
+      EXPECT_THROW(router.mutate(ops), std::out_of_range)
+          << "shards=" << shards;
+    }
+    EXPECT_EQ(router.epoch(), 1u) << "shards=" << shards;
+    EXPECT_EQ(router.stats().mutations, 1u) << "shards=" << shards;
+    for (std::size_t s = 0; s < router.n_shards(); ++s) {
+      const auto& db = router.shard_executor(s).delta_base();
+      EXPECT_EQ(db.nrows(), router.map().height(s)) << "shard=" << s;
+      EXPECT_EQ(db.ncols(), n) << "shard=" << s;
+      EXPECT_EQ(db.epoch(), shard_epochs[s]) << "shard=" << s;
+    }
+    EXPECT_EQ(router.wait(router.submit(q)), before) << "shards=" << shards;
+  }
+}
+
 // ---- in-flight batches pin their epoch; liveness under churn -------------
 
 TEST(DeltaServe, AsyncMutationQueryInterleavingStress) {
   // A mutator thread publishes epochs (with background compaction armed at
   // a tiny threshold) while query threads submit against the async
-  // executor. Every answer must match the rebuild at SOME epoch in the
+  // 1-shard engine. Every answer must match the rebuild at SOME epoch in the
   // mutation order — each batch serves exactly the epoch it pinned.
   const Index n = 32;
   const auto base = random_matrix<S>(n, n, 160, 81, dbl_entry);
@@ -553,12 +617,11 @@ TEST(DeltaServe, AsyncMutationQueryInterleavingStress) {
     rebuilt.push_back(ref.rebuild(S::zero()));
   }
 
-  serve::Executor<S> ex(
-      base, {.async = true,
-             .delta = {.delta_buffer = 16,
-                       .delta_fanout = 2,
-                       .compact_threshold = 32,
-                       .background = true}});
+  serve::Router<S> ex(base, {.executor = {.async = true,
+                                          .delta = {.delta_buffer = 16,
+                                                    .delta_fanout = 2,
+                                                    .compact_threshold = 32,
+                                                    .background = true}}});
   serve::Service<S>& svc = ex;
 
   const auto q =
@@ -594,8 +657,9 @@ TEST(DeltaServe, AsyncMutationQueryInterleavingStress) {
   svc.flush();
   const auto t = svc.submit(q);
   EXPECT_EQ(svc.wait(t), serve::run_single(rebuilt.back(), q));
-  EXPECT_EQ(ex.delta_base().epoch(), static_cast<std::uint64_t>(kEpochs));
-  EXPECT_GT(ex.delta_base().compactions(), 0u);
+  const auto& db = ex.shard_executor(0).delta_base();
+  EXPECT_EQ(db.epoch(), static_cast<std::uint64_t>(kEpochs));
+  EXPECT_GT(db.compactions(), 0u);
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // coalescing must be bit-identical to per-query execution for every
 // semiring family, mask sense mix, ragged batch shape, strategy, and
 // thread count — batching may never change an answer. Also covers the
-// executor's admission policy / ServeStats and the planner's batch router.
+// engine's admission policy / ServeStats (through the 1-shard Router) and
+// the planner's batch router.
 
 #include <gtest/gtest.h>
 
 #include "db/planner.hpp"
 #include "helpers.hpp"
 #include "semiring/all.hpp"
-#include "serve/executor.hpp"
+#include "serve/router.hpp"
 #include "sparse/io.hpp"
 #include "util/rng.hpp"
 
@@ -218,12 +219,12 @@ TEST(ServeBatch, ShapeMismatchesThrow) {
 }
 
 // --------------------------------------------------------------------------
-// Executor: queue, admission policy, stats.
+// The engine (a 1-shard Router): queue, admission policy, stats.
 
 TEST(Executor, TicketsResolveInSubmissionOrder) {
   const Index n = 32;
   auto base = random_matrix<S>(n, n, 160, 21, dbl_entry);
-  serve::Executor<S> ex(base);
+  serve::Router<S> ex(base);
   const auto queries = ragged_batch<S>(n, n, 21, dbl_entry);
   std::vector<std::size_t> tickets;
   for (const auto& q : queries) tickets.push_back(ex.submit(q));
@@ -241,7 +242,7 @@ TEST(Executor, TicketsResolveInSubmissionOrder) {
 
 TEST(Executor, ResultAutoFlushes) {
   const Index n = 16;
-  serve::Executor<S> ex(random_matrix<S>(n, n, 60, 22, dbl_entry));
+  serve::Router<S> ex(random_matrix<S>(n, n, 60, 22, dbl_entry));
   const auto t =
       ex.submit(serve::Query<S>::analytic(random_matrix<S>(2, n, 6, 23,
                                                          dbl_entry)));
@@ -255,7 +256,7 @@ TEST(Executor, ResultReferenceSurvivesLaterSubmits) {
   // The serving loop interleaves redeeming answers with new traffic: a
   // result() reference must stay valid across subsequent submit()/flush().
   const Index n = 16;
-  serve::Executor<S> ex(random_matrix<S>(n, n, 80, 27, dbl_entry));
+  serve::Router<S> ex(random_matrix<S>(n, n, 80, 27, dbl_entry));
   const auto q0 = serve::Query<S>::analytic(random_matrix<S>(2, n, 6, 28,
                                                            dbl_entry));
   const auto t0 = ex.submit(q0);
@@ -273,8 +274,8 @@ TEST(Executor, ResultReferenceSurvivesLaterSubmits) {
 
 TEST(Executor, BatchSizeAdmissionSplitsQueue) {
   const Index n = 24;
-  serve::Executor<S> ex(random_matrix<S>(n, n, 100, 24, dbl_entry),
-                        {.max_batch_queries = 2});
+  serve::Router<S> ex(random_matrix<S>(n, n, 100, 24, dbl_entry),
+                      {.executor = {.max_batch_queries = 2}});
   for (int i = 0; i < 5; ++i) {
     ex.submit(serve::Query<S>::analytic(
         random_matrix<S>(3, n, 10, 30 + static_cast<std::uint64_t>(i),
@@ -289,8 +290,9 @@ TEST(Executor, BatchSizeAdmissionSplitsQueue) {
 
 TEST(Executor, FlopBudgetAdmissionSplitsQueue) {
   const Index n = 24;
-  serve::Executor<S> ex(random_matrix<S>(n, n, 200, 25, dbl_entry),
-                        {.max_batch_flops = 1});  // nothing fits together
+  // Nothing fits together under a 1-flop budget.
+  serve::Router<S> ex(random_matrix<S>(n, n, 200, 25, dbl_entry),
+                      {.executor = {.max_batch_flops = 1}});
   for (int i = 0; i < 3; ++i) {
     ex.submit(serve::Query<S>::analytic(
         random_matrix<S>(3, n, 12, 40 + static_cast<std::uint64_t>(i),
@@ -305,9 +307,10 @@ TEST(Executor, FlopBudgetAdmissionSplitsQueue) {
 
 TEST(Executor, InvalidConfigAndQueriesThrow) {
   const auto base = random_matrix<S>(8, 8, 20, 26, dbl_entry);
-  EXPECT_THROW(serve::Executor<S>(base, {.max_batch_queries = 0}),
-               std::invalid_argument);
-  serve::Executor<S> ex(base);
+  EXPECT_THROW(
+      serve::Router<S>(base, {.executor = {.max_batch_queries = 0}}),
+      std::invalid_argument);
+  serve::Router<S> ex(base);
   EXPECT_THROW(
       ex.submit(serve::Query<S>::analytic(random_matrix<S>(2, 4, 2, 1,
                                                          dbl_entry))),

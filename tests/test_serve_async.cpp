@@ -1,8 +1,10 @@
-// Tests for the async multi-tenant executor (serve/executor.hpp): the
-// background flush thread, ticket futures (wait/poll), per-tenant
-// accounting and flop quotas, and the shutdown / drain protocol. The core
-// invariant is unchanged from the synchronous engine: no flush timing,
-// batch boundary, tenant mix, or thread count may ever change an answer.
+// Tests for the async multi-tenant engine, driven through the 1-shard
+// Router (serve/router.hpp) so the shard worker (serve/executor.hpp) is
+// exercised through the one Service: the background flush thread, ticket
+// futures (wait/poll), per-tenant accounting and flop quotas, and the
+// shutdown / drain protocol. The core invariant is unchanged from the
+// synchronous engine: no flush timing, batch boundary, tenant mix, or
+// thread count may ever change an answer.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,7 @@
 
 #include "helpers.hpp"
 #include "semiring/all.hpp"
-#include "serve/executor.hpp"
+#include "serve/router.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -98,15 +100,15 @@ void expect_async_equals_sync(std::uint64_t seed, Gen&& entry) {
     base_of.push_back(b);
   }
 
-  typename serve::Executor<Sr>::Config cfg;
-  cfg.max_batch_queries = 5;
-  cfg.async = true;
+  typename serve::Router<Sr>::Config cfg;
+  cfg.executor.max_batch_queries = 5;
+  cfg.executor.async = true;
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
-    // One async executor per base; submissions interleave across both.
-    serve::Executor<Sr> ex0(b0, cfg);
-    serve::Executor<Sr> ex1(b1, cfg);
-    serve::Executor<Sr>* const ex[] = {&ex0, &ex1};
+    // One async engine per base; submissions interleave across both.
+    serve::Router<Sr> ex0(b0, cfg);
+    serve::Router<Sr> ex1(b1, cfg);
+    serve::Router<Sr>* const ex[] = {&ex0, &ex1};
     std::vector<std::size_t> tickets;
     for (std::size_t i = 0; i < qs.size(); ++i) {
       tickets.push_back(ex[base_of[i]]->submit(
@@ -157,7 +159,7 @@ TEST(ExecutorAsync, IdleFlusherLaunchesALonePolledQuery) {
   // alone must see it settle, with no timer to wait out. A second query
   // submitted after the first settled finds the flusher idle again.
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base, {.async = true});
+  serve::Router<S> ex(base, {.executor = {.async = true}});
   for (const std::uint64_t seed : {7u, 8u}) {
     const auto t = ex.submit(point_query(32, 4, seed));
     while (ex.poll(t) == nullptr) std::this_thread::yield();
@@ -173,7 +175,7 @@ TEST(ExecutorAsync, ResultLivenessAcrossDequeGrowthUnderConcurrentSubmits) {
   // unchanged) across concurrent submit()-driven deque growth.
   const Index n = 32;
   const auto base = uniform_base(n);
-  serve::Executor<S> ex(base, {.async = true});
+  serve::Router<S> ex(base, {.executor = {.async = true}});
   const auto q0 = point_query(n, 4, 11);
   const auto t0 = ex.submit(q0);
   const auto& r0 = ex.wait(t0);
@@ -201,7 +203,7 @@ TEST(ExecutorAsync, ShutdownDrainsQueuedButUnflushedTickets) {
   // either way every ticket settles with its exact answer.
   const auto base = uniform_base(48);
   std::vector<std::size_t> tickets;
-  serve::Executor<S> ex(base, {.async = true});
+  serve::Router<S> ex(base, {.executor = {.async = true}});
   for (int i = 0; i < 6; ++i) {
     tickets.push_back(ex.submit(point_query(
         48, 4, 300 + static_cast<std::uint64_t>(i))));
@@ -222,7 +224,7 @@ TEST(ExecutorAsync, ShutdownWithoutDrainDropsTickets) {
   // shutdown, which only the synchronous engine can hold: an async flusher
   // launches whatever is queued (see ShutdownWithoutDrainSettlesOrThrows).
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base);
+  serve::Router<S> ex(base);
   const auto resolved = ex.submit(point_query(32, 4, 21));
   ex.flush();
   ASSERT_NE(ex.poll(resolved), nullptr);  // settled — must survive shutdown
@@ -238,7 +240,7 @@ TEST(ExecutorAsync, ShutdownWithoutDrainSettlesOrThrows) {
   // flusher, so each ticket either settled (its answer is exact) or was
   // dropped (wait() throws). Neither path may hang.
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base, {.async = true});
+  serve::Router<S> ex(base, {.executor = {.async = true}});
   std::vector<std::size_t> tickets;
   for (int i = 0; i < 16; ++i) {
     tickets.push_back(
@@ -260,7 +262,7 @@ TEST(ExecutorAsync, ShutdownWithoutDrainSettlesOrThrows) {
 TEST(ExecutorAsync, DestructorDrainsWithoutExplicitShutdown) {
   const auto base = uniform_base(32);
   {
-    serve::Executor<S> ex(base, {.async = true});
+    serve::Router<S> ex(base, {.executor = {.async = true}});
     ex.submit(point_query(32, 4, 31));
     ex.submit(point_query(32, 4, 32));
     // No wait, no flush, no shutdown: the destructor must retire the flush
@@ -273,21 +275,21 @@ TEST(ExecutorAsync, DestructorDrainsWithoutExplicitShutdown) {
 // Admission edge cases the async work makes load-bearing.
 
 TEST(Executor, FlushOfAnEmptyQueueIsANoOp) {
-  serve::Executor<S> ex(uniform_base(16));
+  serve::Router<S> ex(uniform_base(16));
   ex.flush();
   ex.flush();
   EXPECT_EQ(ex.stats().batches, 0u);
   EXPECT_EQ(ex.stats().queries, 0u);
   EXPECT_EQ(ex.pending(), 0u);
   // Async flavour: an idle flusher must tolerate explicit empty flushes.
-  serve::Executor<S> ax(uniform_base(16), {.async = true});
+  serve::Router<S> ax(uniform_base(16), {.executor = {.async = true}});
   ax.flush();
   EXPECT_EQ(ax.stats().batches, 0u);
 }
 
 TEST(Executor, ZeroFlopBudgetAdmitsOneQueryPerBatch) {
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base, {.max_batch_flops = 0});
+  serve::Router<S> ex(base, {.executor = {.max_batch_flops = 0}});
   std::vector<std::size_t> tickets;
   for (int i = 0; i < 4; ++i) {
     tickets.push_back(ex.submit(point_query(
@@ -307,7 +309,7 @@ TEST(Executor, ZeroFlopBudgetAdmitsOneQueryPerBatch) {
 
 TEST(Executor, ZeroTenantQuotaStillMakesProgress) {
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base, {.tenant_flop_quota = 0});
+  serve::Router<S> ex(base, {.executor = {.tenant_flop_quota = 0}});
   for (int i = 0; i < 3; ++i) {
     ex.submit(1, point_query(32, 4, 500 + static_cast<std::uint64_t>(i)));
     ex.submit(2, point_query(32, 4, 600 + static_cast<std::uint64_t>(i)));
@@ -328,7 +330,7 @@ TEST(Executor, TenantQuotaStopsAHeavyTenantStarvingPointLookups) {
   // of queueing behind the heavy tenant.
   const Index n = 64;
   const auto base = uniform_base(n);
-  serve::Executor<S> ex(base, {.tenant_flop_quota = 32});
+  serve::Router<S> ex(base, {.executor = {.tenant_flop_quota = 32}});
   std::vector<std::size_t> heavy, light;
   for (int i = 0; i < 6; ++i) {
     heavy.push_back(ex.submit(
@@ -367,7 +369,7 @@ TEST(Executor, RoundRobinRotatesAcrossBatches) {
   // Quota 0 ⇒ one query per batch; the rotating cursor must alternate
   // tenants rather than exhausting the lowest id first.
   const auto base = uniform_base(32);
-  serve::Executor<S> ex(base, {.tenant_flop_quota = 0});
+  serve::Router<S> ex(base, {.executor = {.tenant_flop_quota = 0}});
   const auto a0 = ex.submit(1, point_query(32, 4, 41));
   const auto b0 = ex.submit(2, point_query(32, 4, 42));
   const auto a1 = ex.submit(1, point_query(32, 4, 43));
@@ -389,15 +391,16 @@ TEST(Executor, RoundRobinRotatesAcrossBatches) {
 TEST(Executor, GustavsonTooWideBaseRejectedAtConstruction) {
   // A forced dense-scratch strategy over a base wider than the scratch cap
   // could only fail inside a flush — on the background thread in async
-  // mode. The executor refuses the configuration up front instead.
+  // mode. The engine refuses the configuration up front instead.
   sparse::Matrix<double> wide(4, (Index{1} << 24) + 1);
-  EXPECT_THROW(serve::Executor<S>(std::move(wide),
-                                  {.strategy = MxmStrategy::kGustavson}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      serve::Router<S>(std::move(wide),
+                       {.executor = {.strategy = MxmStrategy::kGustavson}}),
+      std::invalid_argument);
 }
 
 TEST(Executor, WaitUnknownTicketThrows) {
-  serve::Executor<S> ex(uniform_base(8));
+  serve::Router<S> ex(uniform_base(8));
   EXPECT_THROW((void)ex.wait(0), std::out_of_range);
   EXPECT_THROW((void)ex.poll(3), std::out_of_range);
 }

@@ -1,8 +1,8 @@
 // Tests for the sharded serving stack (sparse/shard.hpp,
 // serve/shard_map.hpp, serve/router.hpp): shard-map splitting and
 // translation, the carry-seeded fold chain, and the router's
-// scatter-gather — sharded execution must be BIT-identical to the
-// unsharded PR 4 executor for every semiring, strategy, thread count, and
+// scatter-gather — sharded execution must be BIT-identical to unsharded
+// per-query execution for every semiring, strategy, thread count, and
 // shard count, across ragged multi-tenant batches and every shard-boundary
 // edge case (straddling queries, empty shards, single-row shards,
 // hypersparse DCSR shards, masks spanning cuts).
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "db/planner.hpp"
 #include "helpers.hpp"
 #include "semiring/all.hpp"
 #include "serve/router.hpp"
@@ -216,7 +215,8 @@ TEST(CarryChain, MaskedChainMatchesMaskedUnsharded) {
 }
 
 // --------------------------------------------------------------------------
-// Router ≡ unsharded executor — the acceptance sweep.
+// Router at every shard count ≡ unsharded per-query execution — the
+// acceptance sweep.
 
 template <semiring::Semiring Sr, typename Gen>
 void expect_router_equals_unsharded(Index n, std::uint64_t seed, Gen&& entry,
@@ -448,57 +448,60 @@ TEST(RouterEdgeCases, MaskSpanningShardBoundaries) {
 }
 
 // --------------------------------------------------------------------------
-// The 1-shard router IS the unsharded executor path.
+// The 1-shard router is the unsharded engine: one flush, one launch.
 
 TEST(RouterOneShard, PassThroughMatchesExecutorStats) {
+  // One sync flush of K queries through the 1-shard router must equal ONE
+  // serve::run_batch call over the same queries: the same answers and the
+  // same ServeStats, launch for launch — nothing duplicated, re-split or
+  // merged on the way through the router and its shard worker.
   const Index n = 32;
   const auto base = random_matrix<S>(n, n, 180, 71, dbl_entry);
   const auto queries = ragged_batch<S>(n, 71, dbl_entry);
 
-  serve::Executor<S> ex(base);
-  std::vector<std::size_t> etickets;
-  for (const auto& q : queries) etickets.push_back(ex.submit(q));
-  ex.flush();
-
   serve::Router<S> router(base, {});
-  std::vector<std::size_t> rtickets;
-  for (const auto& q : queries) rtickets.push_back(router.submit(q));
+  std::vector<std::size_t> tickets;
+  for (const auto& q : queries) tickets.push_back(router.submit(q));
   router.flush();
 
+  serve::ServeStats a;
+  const auto want =
+      serve::run_batch<S>(base, queries, MxmStrategy::kAuto, &a);
+  ASSERT_EQ(want.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(router.wait(rtickets[i]), ex.wait(etickets[i]));
+    EXPECT_EQ(router.wait(tickets[i]), want[i]) << "query=" << i;
   }
-  // Same serving accounting, launch for launch: nothing was duplicated,
-  // re-split, or merged on the 1-shard path.
-  const auto a = ex.stats();
   const auto b = router.stats();
   EXPECT_EQ(b.queries, a.queries);
   EXPECT_EQ(b.batches, a.batches);
+  EXPECT_EQ(b.batches, 1u);
   EXPECT_EQ(b.kernel_launches, a.kernel_launches);
   EXPECT_EQ(b.launches_saved, a.launches_saved);
   EXPECT_EQ(b.rows_coalesced, a.rows_coalesced);
   EXPECT_EQ(b.flops_kept, a.flops_kept);
   EXPECT_EQ(b.flops_skipped, a.flops_skipped);
+  EXPECT_EQ(b.mutations, a.mutations);
+  EXPECT_EQ(b.epoch, a.epoch);
   EXPECT_EQ(router.router_stats().merges, 0u);
 }
 
 TEST(Router, ShardedFlopAccountingPartitionsUnsharded) {
-  // The flop totals across shard executors must equal the unsharded
-  // executor's exactly — each product is counted in exactly one stage,
-  // carry seeding adds none, and (since flops_kept counts unmasked
-  // products too) the partition is independent of how masked and unmasked
-  // sub-queries happened to share batches.
+  // The flop totals across shard workers must equal the 1-shard engine's
+  // exactly — each product is counted in exactly one stage, carry seeding
+  // adds none, and (since flops_kept counts unmasked products too) the
+  // partition is independent of how masked and unmasked sub-queries
+  // happened to share batches.
   const Index n = 40;
   const auto base = random_matrix<S>(n, n, 260, 81, dbl_entry);
   const auto queries = ragged_batch<S>(n, 81, dbl_entry);
-  serve::Executor<S> ex(base);
-  for (const auto& q : queries) ex.submit(q);
-  ex.flush();
+  serve::Router<S> one(base, {});
+  for (const auto& q : queries) one.submit(q);
+  one.flush();
   serve::Router<S> router(base, {.n_shards = 4});
   for (const auto& q : queries) router.submit(q);
   router.flush();
-  EXPECT_EQ(router.stats().flops_kept, ex.stats().flops_kept);
-  EXPECT_EQ(router.stats().flops_skipped, ex.stats().flops_skipped);
+  EXPECT_EQ(router.stats().flops_kept, one.stats().flops_kept);
+  EXPECT_EQ(router.stats().flops_skipped, one.stats().flops_skipped);
 }
 
 TEST(Router, TenantStatsAggregateAcrossShards) {
@@ -519,11 +522,12 @@ TEST(Router, TenantStatsAggregateAcrossShards) {
   EXPECT_EQ(t1.queries, 2u);  // one sub-query per touched shard
   EXPECT_EQ(t2.queries, 1u);
   EXPECT_EQ(router.tenants(), (std::vector<serve::TenantId>{1, 2}));
-  // Exact flops: sub-query flops partition the unsharded count.
-  serve::Executor<S> ex(base);
-  ex.submit(1, q1);
-  ex.flush();
-  EXPECT_EQ(t1.flops, ex.tenant_stats(1).flops);
+  // Exact flops: sub-query flops partition the 1-shard engine's count.
+  serve::Router<S> one(base, {});
+  one.submit(1, q1);
+  one.flush();
+  EXPECT_EQ(one.tenant_stats(1).queries, 1u);
+  EXPECT_EQ(t1.flops, one.tenant_stats(1).flops);
 }
 
 TEST(Router, ShapeMismatchesAndUnknownTicketsThrow) {
@@ -543,126 +547,6 @@ TEST(Router, ShapeMismatchesAndUnknownTicketsThrow) {
   EXPECT_THROW(router.submit(serve::Query<S>::select({0}, 16)),
                std::runtime_error);
   EXPECT_NO_THROW(router.shutdown());  // idempotent
-}
-
-// --------------------------------------------------------------------------
-// Array façade + planner routing over the sharded stack.
-
-array::AssocArray<S> entity_array(const std::vector<array::Key>& rows,
-                                  const std::vector<array::Key>& cols,
-                                  std::uint64_t seed, int density = 60) {
-  util::Xoshiro256 rng(seed);
-  std::vector<array::Key> k1, k2;
-  std::vector<double> v;
-  for (const auto& r : rows) {
-    for (const auto& c : cols) {
-      if (rng.bounded(100) < static_cast<std::uint64_t>(density)) {
-        k1.push_back(r);
-        k2.push_back(c);
-        v.push_back(rng.uniform(-1.0, 1.0));
-      }
-    }
-  }
-  return array::AssocArray<S>(k1, k2, v);
-}
-
-TEST(ArrayShard, MtimesShardedMatchesSequentialMtimes) {
-  // Full density so batchability is a property of the key spaces alone.
-  const auto base = entity_array({"a", "b", "c", "d", "e", "f"},
-                                 {"x", "y", "z"}, 31, 100);
-  std::vector<array::BatchQuery<S>> qs;
-  qs.push_back({entity_array({"q0", "q1"}, {"a", "f"}, 32, 100),
-                std::nullopt,
-                {}});  // straddles the key cut
-  qs.push_back({entity_array({"u"}, {"b", "d"}, 33, 100),
-                entity_array({"u"}, {"x", "z"}, 34, 100),
-                {}});
-  qs.push_back({entity_array({"v", "w"}, {"a", "b", "c", "d"}, 35, 100),
-                entity_array({"v"}, {"y"}, 36, 100),
-                {.complement = true}});
-  for (const int shards : {1, 2, 3}) {
-    typename serve::Router<S>::Config cfg;
-    cfg.n_shards = shards;
-    serve::ServeStats st;
-    serve::RouterStats rs;
-    const auto out = array::mtimes_sharded(base, qs, cfg, &st, &rs);
-    ASSERT_EQ(out.size(), qs.size());
-    EXPECT_EQ(out[0], array::mtimes(qs[0].lhs, base)) << "shards=" << shards;
-    EXPECT_EQ(out[1], array::mtimes_masked(qs[1].lhs, base, *qs[1].mask));
-    EXPECT_EQ(out[2], array::mtimes_masked(qs[2].lhs, base, *qs[2].mask,
-                                           {.complement = true}));
-    EXPECT_EQ(rs.queries, qs.size());
-  }
-}
-
-TEST(ArrayShard, UnbatchableQueryThrows) {
-  const auto base = entity_array({"a", "b"}, {"x"}, 41, 100);
-  array::ShardedServer<S> server(base, {.n_shards = 2});
-  array::BatchQuery<S> q{entity_array({"q"}, {"a", "zzz"}, 42, 100),
-                         std::nullopt,
-                         {}};
-  EXPECT_FALSE(server.batchable(q));
-  EXPECT_THROW(server.submit(q), std::invalid_argument);
-}
-
-TEST(PlannedShardedBatch, RoutesCoalescesAndFallsBack) {
-  const auto base = entity_array({"a", "b", "c", "d"}, {"x", "y", "z"}, 51,
-                                 100);
-  array::ShardedServer<S> server(base, {.n_shards = 2});
-  std::vector<array::BatchQuery<S>> qs;
-  // Batchable, straddling the key cut {a,b | c,d}.
-  qs.push_back(
-      {array::AssocArray<S>(std::vector<array::Key>{"q0", "q0"},
-                            std::vector<array::Key>{"a", "d"},
-                            std::vector<double>{1.0, 2.0}),
-       std::nullopt,
-       {}});
-  // Batchable, single shard.
-  qs.push_back(
-      {array::AssocArray<S>(std::vector<array::Key>{"q1"},
-                            std::vector<array::Key>{"b"},
-                            std::vector<double>{3.0}),
-       std::nullopt,
-       {}});
-  // Fallback: col keys reach outside the base's row key space.
-  qs.push_back(
-      {array::AssocArray<S>(std::vector<array::Key>{"q2", "q2"},
-                            std::vector<array::Key>{"b", "extra"},
-                            std::vector<double>{1.0, 2.0}),
-       std::nullopt,
-       {}});
-  // Annihilated by §IV.
-  qs.push_back(
-      {array::AssocArray<S>({"q3"}, {"nowhere"}, {1.0}), std::nullopt, {}});
-  // Annihilated by §V-B: empty plain-sense mask.
-  qs.push_back({entity_array({"q4"}, {"a"}, 56, 100), array::AssocArray<S>(),
-                {}});
-
-  db::PlanStats ps;
-  serve::ServeStats ss;
-  const auto rs = db::planned_sharded_batch(base, server, qs, &ps, &ss);
-  ASSERT_EQ(rs.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto want =
-        qs[i].mask ? db::planned_mtimes_masked(qs[i].lhs, base, *qs[i].mask,
-                                               qs[i].desc)
-                   : db::planned_mtimes(qs[i].lhs, base);
-    EXPECT_EQ(rs[i], want) << "query=" << i;
-  }
-  EXPECT_EQ(ps.batches, 1);
-  EXPECT_EQ(ps.queries_batched, 2);
-  EXPECT_EQ(ps.queries_fallback, 1);
-  EXPECT_EQ(ps.products_skipped, 2);
-  // Shard-aware accounting: q0 straddles both shards, q1 stays on one —
-  // 3 sub-queries instead of a 2 × 2 broadcast.
-  EXPECT_EQ(ps.queries_straddling, 1);
-  EXPECT_EQ(ps.queries_single_shard, 1);
-  EXPECT_EQ(ps.shard_subqueries, 3);
-  EXPECT_EQ(ss.queries, 3u);  // sub-query granularity
-  // Key-space mismatch between server and base is rejected.
-  const auto other = entity_array({"p"}, {"x"}, 57, 100);
-  EXPECT_THROW(db::planned_sharded_batch(other, server, qs, &ps),
-               std::invalid_argument);
 }
 
 TEST(Router, ShutdownDrainsChains) {

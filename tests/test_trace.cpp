@@ -1,6 +1,6 @@
 // Tests for life-of-a-query tracing (serve/trace.hpp): ring wraparound,
 // sampling cadence, span well-formedness (stage coverage, sorted
-// timestamps, per-lane proper nesting) through the executor and the
+// timestamps, per-lane proper nesting) through the 1-shard and the
 // sharded router, and — the contract that matters most — a determinism
 // sweep proving results are bit-identical with tracing off, on, and
 // sampled, at 1/2/8 threads.
@@ -15,7 +15,6 @@
 
 #include "helpers.hpp"
 #include "semiring/all.hpp"
-#include "serve/executor.hpp"
 #include "serve/router.hpp"
 #include "serve/trace.hpp"
 #include "sparse/io.hpp"
@@ -148,14 +147,14 @@ TEST(Trace, ReconfigureDropsOldSpans) {
   EXPECT_TRUE(t.snapshot().empty());
 }
 
-// ---- executor spans ------------------------------------------------------
+// ---- 1-shard engine spans ------------------------------------------------
 
 TEST(Trace, ExecutorSpansAreWellFormed) {
   TracerGuard guard;
   tr::Tracer::instance().configure({.enabled = true, .sample_every = 1});
   const Index n = 48;
   const auto base = random_matrix<S>(n, n, 5 * n, 11, dbl_entry);
-  serve::Executor<S> ex(base);
+  serve::Router<S> ex(base);
   const auto queries = workload<S>(n, 21);
   std::vector<std::size_t> tickets;
   for (const auto& q : queries) tickets.push_back(ex.submit(q));
@@ -195,7 +194,7 @@ TEST(Trace, ExecutorSamplingTracesSubsetOfQueries) {
   tr::Tracer::instance().configure({.enabled = true, .sample_every = 3});
   const Index n = 32;
   const auto base = random_matrix<S>(n, n, 4 * n, 31, dbl_entry);
-  serve::Executor<S> ex(base);
+  serve::Router<S> ex(base);
   std::vector<std::size_t> tickets;
   for (int i = 0; i < 9; ++i) {
     tickets.push_back(ex.submit(serve::Query<S>::analytic(
@@ -265,8 +264,8 @@ TEST(Trace, RouterSamplesOncePerLogicalQuery) {
       random_matrix<S>(2, n, 2 * n, 62, dbl_entry)));
   router.flush();
   (void)router.wait(t);
-  // All spans of the chain share ONE trace id: the shard executors must
-  // not re-sample the sub-queries.
+  // All spans of the chain share ONE trace id: the sub-queries inherit
+  // the logical query's id and are never re-sampled.
   std::set<std::uint64_t> ids;
   for (const auto& s : tr::Tracer::instance().snapshot()) {
     if (s.trace != 0) ids.insert(s.trace);
@@ -281,7 +280,7 @@ TEST(Trace, ChromeJsonDumpHasAnEventPerSpan) {
   tr::Tracer::instance().configure({.enabled = true, .sample_every = 1});
   const Index n = 32;
   const auto base = random_matrix<S>(n, n, 4 * n, 71, dbl_entry);
-  serve::Executor<S> ex(base);
+  serve::Router<S> ex(base);
   const auto t = ex.submit(serve::Query<S>::analytic(
       random_matrix<S>(2, n, 12, 72, dbl_entry)));
   ex.wait(t);
@@ -312,14 +311,14 @@ TEST(Trace, ResultsBitIdenticalAcrossTracingModesAndThreadCounts) {
   // Reference: telemetry fully off, single-threaded.
   tr::Tracer::instance().configure({});
   util::metrics::set_enabled(false);
-  std::vector<Matrix<double>> ref_exec;
+  std::vector<Matrix<double>> ref_one;
   std::vector<Matrix<double>> ref_routed;
   {
     ThreadGuard tg(1);
-    serve::Executor<S> ex(base);
+    serve::Router<S> ex(base);
     std::vector<std::size_t> tk;
     for (const auto& q : queries) tk.push_back(ex.submit(q));
-    for (const auto t : tk) ref_exec.push_back(ex.wait(t));
+    for (const auto t : tk) ref_one.push_back(ex.wait(t));
     serve::Router<S> router(base, {.n_shards = 4});
     tk.clear();
     for (const auto& q : queries) tk.push_back(router.submit(q));
@@ -342,11 +341,11 @@ TEST(Trace, ResultsBitIdenticalAcrossTracingModesAndThreadCounts) {
       util::metrics::set_enabled(mode.metrics_on);
       tr::Tracer::instance().configure(
           {.enabled = mode.trace_on, .sample_every = mode.sample_every});
-      serve::Executor<S> ex(base);
+      serve::Router<S> ex(base);
       std::vector<std::size_t> tk;
       for (const auto& q : queries) tk.push_back(ex.submit(q));
       for (std::size_t i = 0; i < tk.size(); ++i) {
-        EXPECT_EQ(ex.wait(tk[i]), ref_exec[i])
+        EXPECT_EQ(ex.wait(tk[i]), ref_one[i])
             << "mode=" << mode.name << " threads=" << nt << " query=" << i;
       }
       serve::Router<S> router(base, {.n_shards = 4});
